@@ -82,7 +82,7 @@ func main() {
 	party := flag.String("party", "urn:ttp:main", "party URI of this TTP")
 	trust := flag.String("trust", "", "evidence bundle directory providing trusted certificates")
 	vaultDir := flag.String("vault", "", "persist evidence in a segmented vault at this directory")
-	replicaRoot := flag.String("replicas", "", "accept peers' sealed-segment replicas into this directory (default <vault>/replicas when -vault is set)")
+	replicaRoot := flag.String("replicas", "", "accept peers' replicas (sealed segments and tail pushes) into this directory (default <vault>/replicas when -vault is set)")
 	telemetryAddr := flag.String("telemetry", "", "serve telemetry introspection (/metricsz, /tracez, /healthz) on this address")
 	gatewayAddr := flag.String("gateway", "", "run a worker gateway on this TCP address so NATed organisations can enrol as outbound workers")
 	archiveDir := flag.String("archive", "", "tier sealed segments (own vault and hosted replicas) into a filesystem object store at this directory")
@@ -168,9 +168,11 @@ func main() {
 	ttp.NewEPM(node.Coordinator())
 	// A TTP is the natural neutral ground for evidence survivability: with
 	// storage configured it serves remote audits of its own vault, accepts
-	// peers' sealed-segment replicas (verified against their seal chains)
-	// and serves adjudications from those replicas when a source
-	// organisation is lost or uncooperative (nrverify -remote -source).
+	// peers' replicas — sealed segments verified against their seal
+	// chains, tail pushes against their record chains, both only when
+	// signed by the source organisation — and serves adjudications from
+	// those replicas when a source organisation is lost or uncooperative
+	// (nrverify -remote -source).
 	auditServices := ""
 	var replicas *vault.ReplicaSet
 	if evidenceVault != nil || *replicaRoot != "" {
@@ -183,6 +185,9 @@ func main() {
 			log.Printf("replica store %s: %d source organisations", *replicaRoot, len(sources))
 		}
 		protocol.NewAuditService(node.Coordinator(), evidenceVault, replicas)
+		if replicas != nil {
+			protocol.NewGeoService(node.Coordinator(), replicas)
+		}
 		auditServices = ", remote audit + replica host"
 		// The TTP's own vault is open to live subscription without a
 		// token: a TTP's evidence (postmarks, substitute receipts, abort

@@ -241,7 +241,6 @@ type orgConfig struct {
 	vaultOpts      []vault.Option
 	roles          []string
 	replicaRoot    string
-	replicate      []Party
 	geoPeers       []Party
 	quorum         int
 	ackTimeout     time.Duration
@@ -304,18 +303,24 @@ var (
 	VaultJSONSegments = vault.WithJSONSegments
 )
 
-// WithReplication makes the organisation ship every sealed vault segment
-// to the named peer organisations' replica stores — the survivability
-// path: evidence reaches dispute time even if this organisation's storage
-// is later lost (OpenVault with VaultRestoreFrom rebuilds the vault from
+// WithReplication makes the organisation replicate its evidence to the
+// named peer organisations' replica stores — the survivability path:
+// evidence reaches dispute time even if this organisation's storage is
+// later lost (OpenVault with VaultRestoreFrom rebuilds the vault from
 // any peer's replica) or the organisation turns uncooperative (an
 // adjudicator audits the peer's replica remotely instead). Requires
-// WithVault. Shipping is verified end to end: receivers re-check the seal
-// chain before accepting a segment, so a tampered copy is refused. Peers
-// may enrol after this organisation; segments reach them at the next
-// catch-up pass.
+// WithVault.
+//
+// The peers join the same list as WithQuorum's, driven by the one
+// geo-replication engine; without WithQuorum the policy is async
+// (WithQuorum(0, peers...)): sealed segments ship whole and the
+// unsealed tail trails the source by one push. Every shipment is
+// authenticated and verified end to end: receivers check the source's
+// token and re-check the seal chain, so a tampered or forged copy is
+// refused. Peers may enrol after this organisation; evidence reaches
+// them at the next catch-up pass.
 func WithReplication(peers ...Party) OrgOption {
-	return func(c *orgConfig) { c.replicate = append(c.replicate, peers...) }
+	return func(c *orgConfig) { c.geoPeers = append(c.geoPeers, peers...) }
 }
 
 // WithReplicaStore sets where the organisation stores peers' replicated
@@ -326,7 +331,7 @@ func WithReplicaStore(dir string) OrgOption {
 	return func(c *orgConfig) { c.replicaRoot = dir }
 }
 
-// WithReplicationInterval tunes the background replication catch-up
+// WithReplicationInterval tunes the background replication retry
 // interval (default 5s). The timer runs on the domain clock, so tests
 // with WithClock drive catch-up deterministically.
 func WithReplicationInterval(d time.Duration) OrgOption {
@@ -342,7 +347,9 @@ func WithReplicationInterval(d time.Duration) OrgOption {
 // peers are replicated to asynchronously — unsealed records trail the
 // source by one push — without gating appends. Requires WithVault.
 // Sealed segments additionally ship whole (the seg-ship path), so peer
-// replicas compact their tails as history seals.
+// replicas compact their tails as history seals. Peers accumulate with
+// WithReplication's; AddOrg refuses a peer named twice and a quorum
+// larger than the number of peers.
 func WithQuorum(n int, peers ...Party) OrgOption {
 	return func(c *orgConfig) {
 		c.quorum = n
@@ -366,6 +373,23 @@ func WithQuorumTimeout(d time.Duration) OrgOption {
 // WithVault.
 func WithArchive(store blob.Store) OrgOption {
 	return func(c *orgConfig) { c.archive = store }
+}
+
+// checkPeers refuses replica peer lists the engine could never satisfy:
+// a peer named twice would be one target counted once, and a quorum
+// larger than the number of peers would fail every gated append.
+func (c *orgConfig) checkPeers() error {
+	seen := make(map[Party]bool, len(c.geoPeers))
+	for _, p := range c.geoPeers {
+		if seen[p] {
+			return fmt.Errorf("replica peer %s named twice", p)
+		}
+		seen[p] = true
+	}
+	if c.quorum > len(c.geoPeers) {
+		return fmt.Errorf("quorum %d exceeds the %d replica peers", c.quorum, len(c.geoPeers))
+	}
+	return nil
 }
 
 // WithCertRoles embeds role names in the organisation's certificate; peers
@@ -436,6 +460,9 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 	if strings.ContainsRune(cfg.addr, '#') {
 		return nil, fmt.Errorf("nonrep: coordinator address %q must not contain '#'", cfg.addr)
 	}
+	if err := cfg.checkPeers(); err != nil {
+		return nil, fmt.Errorf("nonrep: %s: %w", p, err)
+	}
 	if err := d.reserve(p); err != nil {
 		return nil, err
 	}
@@ -488,10 +515,8 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 	if orgVault == nil {
 		var need string
 		switch {
-		case len(cfg.replicate) > 0:
-			need = "WithReplication"
 		case len(cfg.geoPeers) > 0:
-			need = "WithQuorum"
+			need = "WithReplication/WithQuorum"
 		case cfg.archive != nil:
 			need = "WithArchive"
 		}
@@ -674,7 +699,6 @@ type Org struct {
 	geoSvc   *protocol.GeoService
 	geoCli   *protocol.GeoClient
 	replicas *vault.ReplicaSet
-	rep      *vault.Replicator
 	geo      *georep.Engine
 	gated    *georep.GatedLog
 	archive  *georep.Archive
@@ -690,10 +714,9 @@ type Org struct {
 	closeErr  error
 }
 
-// startAudit wires the organisation's remote-audit and replication
-// services: a replica store and audit service whenever the organisation
-// has evidence worth serving (a vault) or is asked to host replicas, and
-// a replicator when WithReplication names peers.
+// startAudit wires the organisation's remote-audit services: a replica
+// store and audit service whenever the organisation has evidence worth
+// serving (a vault) or is asked to host replicas.
 func (o *Org) startAudit(cfg orgConfig, v *vault.Vault) error {
 	// Every organisation can drive remote audits of its peers — the
 	// client needs only the coordinator. Serving audits (the service)
@@ -714,33 +737,17 @@ func (o *Org) startAudit(cfg orgConfig, v *vault.Vault) error {
 		}
 	}
 	o.replicas = rs
-	// Domain organisations always hold verifiable credentials, so their
-	// replica stores accept only authenticated seg-ship: every shipment
-	// must carry a token signed by the source organisation itself.
-	o.audit = protocol.NewAuditService(o.node.Coordinator(), v, rs, protocol.WithShipAuth())
-	if len(cfg.replicate) > 0 {
-		var repOpts []vault.ReplicatorOption
-		if cfg.syncEvery > 0 {
-			repOpts = append(repOpts, vault.WithSyncInterval(cfg.syncEvery))
-		}
-		if tel := o.domain.tel; tel != nil {
-			repOpts = append(repOpts, vault.WithReplicationObserver(tel.Scope(string(o.node.Party()))))
-		}
-		o.rep = vault.NewReplicator(v, string(o.node.Party()), o.domain.clk, repOpts...)
-		for _, peer := range cfg.replicate {
-			o.rep.AddTarget(string(peer), o.auditCli.ShipTarget(peer))
-		}
-	}
+	o.audit = protocol.NewAuditService(o.node.Coordinator(), v, rs)
 	o.registerHealth(v)
 	return nil
 }
 
 // startGeo wires the geo-replication plane: a geo service whenever the
-// organisation hosts replicas (receiving quorum tail pushes), and a
-// policy engine when WithQuorum names peers or WithArchive supplies an
-// object store. Under a sync policy (quorum > 0) the engine attaches to
-// the gated log built in addOrg, and appends start gating on quorum
-// acknowledgement from this point on.
+// organisation hosts replicas (receiving tail pushes), and a policy
+// engine when WithReplication or WithQuorum names peers or WithArchive
+// supplies an object store. Under a sync policy (quorum > 0) the engine
+// attaches to the gated log built in addOrg, and appends start gating
+// on quorum acknowledgement from this point on.
 func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
 	o.geoCli = protocol.NewGeoClient(o.node.Coordinator())
 	if o.replicas != nil {
@@ -762,6 +769,10 @@ func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
 	if cfg.syncEvery > 0 {
 		opts = append(opts, georep.WithRetryInterval(cfg.syncEvery))
 	}
+	tel := o.domain.tel
+	if tel != nil {
+		opts = append(opts, georep.WithObserver(tel.Scope(string(o.node.Party()))))
+	}
 	o.geo = georep.NewEngine(v, string(o.node.Party()), policy, o.domain.clk, opts...)
 	for _, peer := range cfg.geoPeers {
 		o.geo.AddTarget(string(peer), o.geoCli.Target(peer, o.auditCli))
@@ -769,7 +780,7 @@ func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
 	if o.gated != nil {
 		o.gated.Attach(o.geo)
 	}
-	if tel := o.domain.tel; tel != nil {
+	if tel != nil {
 		tel.SetHealth("georep:"+string(o.node.Party()), func() any { return o.geo.Status() })
 	}
 }
@@ -789,9 +800,9 @@ func (o *Org) startSub(cfg orgConfig, v *vault.Vault) {
 	o.sub = protocol.NewSubService(o.node.Coordinator(), v, opts...)
 }
 
-// registerHealth publishes the organisation's liveness sources — vault
-// shape and seal-chain head, replication shipping status — on the
-// domain's telemetry plane, where /healthz reports them.
+// registerHealth publishes the organisation's vault liveness — shape and
+// seal-chain head — on the domain's telemetry plane, where /healthz
+// reports it. Replication status registers with the engine (startGeo).
 func (o *Org) registerHealth(v *vault.Vault) {
 	tel := o.domain.tel
 	if tel == nil {
@@ -812,9 +823,6 @@ func (o *Org) registerHealth(v *vault.Vault) {
 			}
 			return h
 		})
-	}
-	if rep := o.rep; rep != nil {
-		tel.SetHealth("replication:"+party, func() any { return rep.Status() })
 	}
 }
 
@@ -850,9 +858,11 @@ func (o *Org) Vault() *vault.Vault {
 }
 
 // Durability reports the organisation's geo-replication state: policy
-// mode, quorum arithmetic, per-replica acknowledgement watermarks and
-// archival progress. Without WithQuorum or WithArchive it returns the
-// zero Status (mode "", no targets).
+// mode, quorum arithmetic, per-replica acknowledgement and sealed-segment
+// watermarks and archival progress. An organisation enrolled with
+// WithReplication alone reports an async status (quorum 0). Without
+// replica peers or WithArchive it returns the zero Status (mode "", no
+// targets).
 func (o *Org) Durability() georep.Status {
 	if o.geo == nil {
 		return georep.Status{}
@@ -861,9 +871,9 @@ func (o *Org) Durability() georep.Status {
 }
 
 // Georep returns the organisation's geo-replication policy engine, or
-// nil without WithQuorum/WithArchive. Flush gives tests and planned
-// shutdowns a deterministic "every replica and the archive are caught
-// up" point.
+// nil without WithReplication, WithQuorum or WithArchive. Flush gives
+// tests and planned shutdowns a deterministic "every replica and the
+// archive are caught up" point.
 func (o *Org) Georep() *georep.Engine { return o.geo }
 
 // Archive returns the organisation's evidence archive over the object
@@ -875,11 +885,12 @@ func (o *Org) Archive() *georep.Archive { return o.archive }
 // hosts none. Each source's replica directory is a valid read-only vault.
 func (o *Org) Replicas() *vault.ReplicaSet { return o.replicas }
 
-// Replication returns the organisation's sealed-segment replicator, or
-// nil when the organisation was not enrolled with WithReplication. Call
-// Sync for a deterministic "everything sealed so far has been shipped"
-// point (for example before a planned shutdown).
-func (o *Org) Replication() *vault.Replicator { return o.rep }
+// Replication returns the same engine as Georep.
+//
+// Deprecated: use Georep. Replication remains so callers written
+// against the former sealed-segment replicator, the benchmark harness
+// among them, keep building.
+func (o *Org) Replication() *georep.Engine { return o.geo }
 
 // AuditClient returns the organisation's remote-audit client. Every
 // organisation has one — driving an audit needs only the coordinator;
@@ -1094,11 +1105,6 @@ func (o *Org) teardown() error {
 	}
 	for _, s := range servers {
 		if err := s.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if o.rep != nil {
-		if err := o.rep.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

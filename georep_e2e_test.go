@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,5 +195,51 @@ func TestGeoRegionLossSurvival(t *testing.T) {
 	}
 	if len(recs) != before.Records {
 		t.Fatalf("restored primary holds %d records, want %d", len(recs), before.Records)
+	}
+}
+
+// TestAddOrgRejectsUnreachableQuorum checks AddOrg refuses replica peer
+// lists the engine could never satisfy — a peer named twice, or a
+// quorum larger than the number of peers — and that WithReplication
+// peers join WithQuorum's list.
+func TestAddOrgRejectsUnreachableQuorum(t *testing.T) {
+	t.Parallel()
+	const (
+		r1 = nonrep.Party("urn:org:peer-1")
+		r2 = nonrep.Party("urn:org:peer-2")
+		p  = nonrep.Party("urn:org:source")
+	)
+	domain, err := nonrep.NewDomain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	refused := []struct {
+		name string
+		opts []nonrep.OrgOption
+		want string
+	}{
+		{"duplicate quorum peer", []nonrep.OrgOption{nonrep.WithQuorum(2, r1, r1)}, "named twice"},
+		{"peer in both lists", []nonrep.OrgOption{nonrep.WithQuorum(1, r1), nonrep.WithReplication(r1)}, "named twice"},
+		{"duplicate replication peer", []nonrep.OrgOption{nonrep.WithReplication(r1, r2, r1)}, "named twice"},
+		{"quorum above peer count", []nonrep.OrgOption{nonrep.WithQuorum(3, r1, r2)}, "exceeds"},
+		{"quorum without peers", []nonrep.OrgOption{nonrep.WithQuorum(2)}, "exceeds"},
+	}
+	for _, tc := range refused {
+		opts := append([]nonrep.OrgOption{nonrep.WithVault(t.TempDir())}, tc.opts...)
+		if _, err := domain.AddOrg(p, opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: AddOrg err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// A refused enrolment leaves the party free; the merged list drives
+	// one engine with the quorum counted over both options' peers.
+	org, err := domain.AddOrg(p, nonrep.WithVault(t.TempDir()),
+		nonrep.WithQuorum(1, r1), nonrep.WithReplication(r2), nonrep.WithQuorumTimeout(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := org.Durability()
+	if st.Mode != "sync" || st.Quorum != 1 || len(st.Targets) != 2 {
+		t.Fatalf("merged policy = %+v, want sync 1-of-2", st)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nonrep/internal/clock"
+	"nonrep/internal/obs"
 	"nonrep/internal/store"
 	"nonrep/internal/vault"
 )
@@ -46,9 +47,9 @@ var ErrQuorumUnmet = errors.New("georep: quorum not reached")
 
 // Target is one peer region's receiving side as the engine sees it:
 // tail pushes and acknowledgement status for the quorum path, plus
-// sealed-segment shipping (vault.ShipTarget) for catch-up and
-// compaction. protocol.GeoTarget implements it over the wire; tests
-// implement it directly over a ReplicaSet.
+// sealed-segment shipping for catch-up and compaction.
+// protocol.GeoTarget implements it over the wire; tests implement it
+// directly over a ReplicaSet.
 type Target interface {
 	// AckedSeq reports the highest record sequence of source's vault the
 	// target durably holds (sealed or tail).
@@ -56,7 +57,11 @@ type Target interface {
 	// Append pushes a chain-contiguous batch of records, returning the
 	// target's new acknowledged sequence.
 	Append(ctx context.Context, source string, recs []*store.Record) (uint64, error)
-	vault.ShipTarget
+	// LastSealed reports the highest segment of source's vault the
+	// target already holds (0 for none) — the catch-up negotiation.
+	LastSealed(ctx context.Context, source string) (uint64, error)
+	// Ship delivers one sealed segment package for source.
+	Ship(ctx context.Context, source string, pkg *vault.SegmentPackage) error
 }
 
 // waiter is one blocked WaitQuorum call.
@@ -128,6 +133,19 @@ func WithAsyncLinger(d time.Duration) EngineOption {
 	}
 }
 
+// WithObserver homes the engine's replication instruments — shipped
+// segments, failed passes, and the worst and summed per-target
+// distance behind the seal-chain head — in the given telemetry scope.
+// A nil scope leaves the engine uninstrumented.
+func WithObserver(scope *obs.Scope) EngineOption {
+	return func(e *Engine) {
+		e.shippedC = scope.Counter(obs.MReplShippedTotal)
+		e.errorsC = scope.Counter(obs.MReplErrorsTotal)
+		e.lagG = scope.Gauge(obs.MReplLagSegments)
+		e.backlogG = scope.Gauge(obs.MReplBacklogSegments)
+	}
+}
+
 // Engine drives one organisation's replication policy: per-target push
 // pumps keep peer replicas' tails current (and their sealed history
 // complete), acknowledgement watermarks feed the quorum arithmetic that
@@ -144,6 +162,12 @@ type Engine struct {
 	every   time.Duration
 	timeout time.Duration
 	linger  time.Duration
+
+	// Telemetry instruments (nil and no-op without WithObserver).
+	shippedC *obs.Counter
+	errorsC  *obs.Counter
+	lagG     *obs.Gauge
+	backlogG *obs.Gauge
 
 	mu          sync.Mutex
 	targets     map[string]*targetState
@@ -285,15 +309,40 @@ func (e *Engine) pump(st *targetState) {
 	}
 }
 
+// recordTarget folds one pass's outcome into the target's status and
+// the telemetry instruments.
 func (e *Engine) recordTarget(st *targetState, err error) {
+	var head uint64
+	if e.lagG != nil {
+		if m := e.v.Manifest(); len(m) > 0 {
+			head = m[len(m)-1].Segment
+		}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err != nil {
 		st.lastErr = err.Error()
 		st.trusted = false
+		e.errorsC.Inc()
 	} else {
 		st.lastErr = ""
 	}
+	if e.lagG == nil {
+		return
+	}
+	// Lag is the worst target's distance behind the seal-chain head;
+	// backlog sums that distance across targets (the catch-up work
+	// outstanding).
+	var lag, backlog uint64
+	for _, t := range e.targets {
+		if t.sealedTo < head {
+			d := head - t.sealedTo
+			backlog += d
+			lag = max(lag, d)
+		}
+	}
+	e.lagG.Set(int64(lag))
+	e.backlogG.Set(int64(backlog))
 }
 
 // syncTarget performs one catch-up pass toward a target: ship sealed
@@ -310,6 +359,14 @@ func (e *Engine) syncTarget(ctx context.Context, st *targetState) error {
 	e.mu.Unlock()
 	manifest := e.v.Manifest()
 	localSeq, _ := e.v.LastPosition()
+	if localSeq == 0 && len(manifest) == 0 && e.policy.Quorum <= 0 {
+		// Nothing to replicate yet: an empty vault costs no status round
+		// trips, so peers enrolling after this organisation are not
+		// polled before there is evidence to send them. A sync policy
+		// still negotiates up front, or its first gated append would
+		// wait on the status round trips as well as the push.
+		return nil
+	}
 	if trusted && acked >= localSeq &&
 		(len(manifest) == 0 || manifest[len(manifest)-1].Segment <= sealedTo) {
 		return nil
@@ -333,6 +390,10 @@ func (e *Engine) syncTarget(ctx context.Context, st *targetState) error {
 			return fmt.Errorf("georep: ship segment %d to %s: %w", entry.Segment, st.name, serr)
 		}
 		sealedTo, shipped = entry.Segment, true
+		e.shippedC.Inc()
+		e.mu.Lock()
+		st.sealedTo = max(st.sealedTo, sealedTo)
+		e.mu.Unlock()
 	}
 	// A shipped segment moves the replica's watermark (its tail rebases
 	// onto the seal), so the cached mirror is stale after any ship —
@@ -514,6 +575,9 @@ func (e *Engine) archivePass(ctx context.Context) error {
 type TargetStatus struct {
 	Name     string `json:"name"`
 	AckedSeq uint64 `json:"acked_seq"`
+	// SealedSegments is the highest sealed segment the target is known
+	// to hold — the shipping watermark.
+	SealedSegments uint64 `json:"sealed_segments"`
 	// LastError is the most recent pass's failure ("" when healthy).
 	LastError string `json:"last_error,omitempty"`
 }
@@ -545,7 +609,7 @@ func (e *Engine) Status() Status {
 		ArchiveError:     e.archiveErr,
 	}
 	for _, st := range e.targets {
-		s.Targets = append(s.Targets, TargetStatus{Name: st.name, AckedSeq: st.acked, LastError: st.lastErr})
+		s.Targets = append(s.Targets, TargetStatus{Name: st.name, AckedSeq: st.acked, SealedSegments: st.sealedTo, LastError: st.lastErr})
 	}
 	sort.Slice(s.Targets, func(i, j int) bool { return s.Targets[i].Name < s.Targets[j].Name })
 	return s
@@ -586,6 +650,13 @@ func (e *Engine) Flush(ctx context.Context) error {
 	}
 	return firstErr
 }
+
+// Sync is Flush under the name the former sealed-segment replicator
+// used.
+//
+// Deprecated: use Flush. Sync remains so callers written against the
+// replicator, the benchmark harness among them, keep building.
+func (e *Engine) Sync(ctx context.Context) error { return e.Flush(ctx) }
 
 // Close stops the pumps and detaches the vault hooks. Waiters unblock
 // with an error; records already appended keep their local durability.

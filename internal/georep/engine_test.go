@@ -13,8 +13,10 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/georep"
 	"nonrep/internal/id"
+	"nonrep/internal/obs"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
+	"nonrep/internal/testpki"
 	"nonrep/internal/vault"
 )
 
@@ -28,6 +30,7 @@ type memTarget struct {
 	down      bool
 	partition bool
 	delay     time.Duration
+	calls     int // operations attempted, faulted or not
 }
 
 func newMemTarget(t testing.TB) *memTarget {
@@ -49,6 +52,7 @@ func (m *memTarget) set(fn func(*memTarget)) {
 // (partition) the underlying operation.
 func (m *memTarget) gate(ctx context.Context) error {
 	m.mu.Lock()
+	m.calls++
 	down, delay := m.down, m.delay
 	m.mu.Unlock()
 	if down {
@@ -464,5 +468,212 @@ func TestPruneRacesRestore(t *testing.T) {
 	defer replica.Close()
 	if err := replica.DeepVerify(); err != nil {
 		t.Fatalf("replica DeepVerify after GC races: %v", err)
+	}
+}
+
+// TestEngineCatchUpAfterReopenMidTransfer interrupts replication part
+// way through — the source "crashes" with only a prefix of its sealed
+// segments shipped — and checks that an engine over the reopened vault
+// catches the replica up exactly, then keeps shipping new seals through
+// the seal hook.
+func TestEngineCatchUpAfterReopenMidTransfer(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(srcOrg)
+	dir := t.TempDir()
+	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRecords(t, realm, v, 12) // 3 sealed segments
+	m := newMemTarget(t)
+	// Mid-transfer: only segment 1 made it out before the crash.
+	pkg, err := v.Package(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.rs.Receive(string(srcOrg), pkg); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(); err != nil { // kill
+		t.Fatal(err)
+	}
+
+	v2, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	eng := georep.NewEngine(v2, string(srcOrg), georep.Policy{}, nil)
+	defer eng.Close()
+	eng.AddTarget("peer", m)
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush after reopen: %v", err)
+	}
+	if last, err := m.rs.LastSealed(string(srcOrg)); err != nil || last != 3 {
+		t.Fatalf("replica at segment %d, want 3 (%v)", last, err)
+	}
+	// New seals after the reopen flow through the seal hook, with no
+	// Flush.
+	appendRecords(t, realm, v2, 4)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		last, err := m.rs.LastSealed(string(srcOrg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last == 4 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("seal-hook replication never delivered segment 4 (at %d)", last)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	replica, err := vault.Open(m.rs.Dir(string(srcOrg)), realm.Clock, vault.WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	if err := replica.DeepVerify(); err != nil {
+		t.Fatalf("replica after catch-up: %v", err)
+	}
+}
+
+// TestEngineRetryOnManualClock proves the retry path is driven by the
+// engine's clock, not wall-clock sleeps: a target that fails its first
+// pass is retried only when the manual clock crosses the retry
+// interval.
+func TestEngineRetryOnManualClock(t *testing.T) {
+	t.Parallel()
+	realm, v := newSourceVault(t, 4)
+	appendRecords(t, realm, v, 4) // 1 sealed segment
+	m := newMemTarget(t)
+	m.set(func(m *memTarget) { m.down = true })
+	eng := georep.NewEngine(v, string(srcOrg), georep.Policy{}, realm.Clock,
+		georep.WithRetryInterval(10*time.Second), georep.WithAsyncLinger(0))
+	defer eng.Close()
+	eng.AddTarget("peer", m)
+
+	// The AddTarget nudge triggers the first (failing) pass; wait until
+	// the failure has been recorded.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if st := eng.Status(); len(st.Targets) == 1 && st.Targets[0].LastError != "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first pass never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The target recovers, but nothing retries until the clock moves.
+	m.set(func(m *memTarget) { m.down = false })
+	time.Sleep(50 * time.Millisecond)
+	if last, _ := m.rs.LastSealed(string(srcOrg)); last != 0 {
+		t.Fatalf("replica advanced to %d without a clock-driven retry", last)
+	}
+	// Crossing the retry interval on the manual clock retries the
+	// target. The pump re-arms its timer after recording the failure,
+	// so keep advancing until the retry lands.
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		realm.Clock.Advance(11 * time.Second)
+		if last, _ := m.rs.LastSealed(string(srcOrg)); last == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("clock-driven retry never shipped the segment")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEngineEmptyVaultMakesNoRoundTrips checks that an async engine
+// over a vault with no records and no seals leaves its targets alone,
+// and starts talking to them with the first record, while a sync engine
+// negotiates up front so its first gated append pays only the push.
+func TestEngineEmptyVaultMakesNoRoundTrips(t *testing.T) {
+	t.Parallel()
+	realm, v := newSourceVault(t, 4)
+	calls := func(m *memTarget) int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.calls
+	}
+	syncEng := georep.NewEngine(v, string(srcOrg), georep.Policy{Mode: georep.ModeSync, Quorum: 1}, nil)
+	defer syncEng.Close()
+	syncTarget := newMemTarget(t)
+	syncEng.AddTarget("sync-peer", syncTarget)
+	if err := syncEng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if calls(syncTarget) == 0 {
+		t.Fatal("sync engine over an empty vault skipped its status negotiation")
+	}
+
+	eng := georep.NewEngine(v, string(srcOrg), georep.Policy{}, nil)
+	defer eng.Close()
+	m := newMemTarget(t)
+	eng.AddTarget("peer", m)
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls(m); n != 0 {
+		t.Fatalf("empty vault made %d target calls, want 0", n)
+	}
+	appendRecords(t, realm, v, 1)
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.rs.AckedSeq(string(srcOrg)); err != nil || got != 1 {
+		t.Fatalf("replica AckedSeq = %d, %v; want 1", got, err)
+	}
+}
+
+// TestEngineReplicationMetrics checks the engine's telemetry under
+// WithObserver: shipped segments, failed passes, and lag and backlog
+// against the seal-chain head, through an outage and its recovery. The
+// engine runs on the realm's manual clock, which never advances, so the
+// background pumps stay parked in their linger and only the explicit
+// passes below ship anything.
+func TestEngineReplicationMetrics(t *testing.T) {
+	t.Parallel()
+	realm, v := newSourceVault(t, 4)
+	tel := obs.New()
+	eng := georep.NewEngine(v, string(srcOrg), georep.Policy{}, realm.Clock,
+		georep.WithObserver(tel.Scope(string(srcOrg))))
+	defer eng.Close()
+	up, down := newMemTarget(t), newMemTarget(t)
+	down.set(func(m *memTarget) { m.down = true })
+	eng.AddTarget("replica-up", up)
+	eng.AddTarget("replica-down", down)
+	appendRecords(t, realm, v, 9) // 2 sealed segments + 1 tail record
+
+	metrics := func() (shipped, errs, lag, backlog int64) {
+		snap := tel.Registry().Snapshot()
+		return snap.Counter(obs.MReplShippedTotal, string(srcOrg)),
+			snap.Counter(obs.MReplErrorsTotal, string(srcOrg)),
+			snap.Gauge(obs.MReplLagSegments, string(srcOrg)),
+			snap.Gauge(obs.MReplBacklogSegments, string(srcOrg))
+	}
+	if err := eng.Flush(context.Background()); err == nil {
+		t.Fatal("Flush with a replica down reported no error")
+	}
+	if shipped, errs, lag, backlog := metrics(); shipped != 2 || errs != 1 || lag != 2 || backlog != 2 {
+		t.Fatalf("during outage: shipped=%d errors=%d lag=%d backlog=%d, want 2/1/2/2", shipped, errs, lag, backlog)
+	}
+	st := eng.Status()
+	if st.Targets[0].Name != "replica-down" || st.Targets[0].SealedSegments != 0 || st.Targets[0].LastError == "" ||
+		st.Targets[1].SealedSegments != 2 || st.Targets[1].AckedSeq != 9 {
+		t.Fatalf("Status during outage = %+v", st.Targets)
+	}
+
+	// Recovery: the deprecated Sync spelling flushes like Flush.
+	down.set(func(m *memTarget) { m.down = false })
+	if err := eng.Sync(context.Background()); err != nil {
+		t.Fatalf("Sync after recovery: %v", err)
+	}
+	if shipped, errs, lag, backlog := metrics(); shipped != 4 || errs != 1 || lag != 0 || backlog != 0 {
+		t.Fatalf("after recovery: shipped=%d errors=%d lag=%d backlog=%d, want 4/1/0/0", shipped, errs, lag, backlog)
 	}
 }

@@ -151,7 +151,6 @@ type AuditService struct {
 	vault    *vault.Vault
 	replicas *vault.ReplicaSet
 	clk      clock.Clock
-	shipAuth bool
 
 	// cached holds one read-only open per replica source, versioned by
 	// the replicated segment count: paged audits re-query per page, and
@@ -167,30 +166,16 @@ type cachedReplica struct {
 	segments uint64
 }
 
-// AuditOption configures an AuditService.
-type AuditOption func(*AuditService)
-
-// WithShipAuth makes seg-ship acceptance require a verified KindSegShip
-// token issued by the source organisation: unsigned shipments, tokens
-// signed with a foreign key, and shipments claiming a different source
-// than the token's issuer are all refused, so nobody can seed a bogus
-// replica store. Without the option, a presented token is still
-// verified (and a bad one refused), but unauthenticated shipments are
-// accepted for backward compatibility with closed deployments.
-func WithShipAuth() AuditOption {
-	return func(s *AuditService) { s.shipAuth = true }
-}
-
 // NewAuditService registers the audit protocol on co, serving v (may be
 // nil for an organisation without a vault) and the replica store rs (may
-// be nil for an organisation that accepts no replicas).
-func NewAuditService(co *Coordinator, v *vault.Vault, rs *vault.ReplicaSet, opts ...AuditOption) *AuditService {
+// be nil for an organisation that accepts no replicas). Replica stores
+// accept only authenticated seg-ship: every shipment must carry a
+// KindSegShip token issued by the source organisation itself, so nobody
+// can seed a bogus replica.
+func NewAuditService(co *Coordinator, v *vault.Vault, rs *vault.ReplicaSet) *AuditService {
 	s := &AuditService{co: co, vault: v, replicas: rs, clk: co.Services().Clock, cached: make(map[string]*cachedReplica)}
 	if s.clk == nil {
 		s.clk = clock.Real{}
-	}
-	for _, opt := range opts {
-		opt(s)
 	}
 	co.Register(s)
 	return s
@@ -365,13 +350,15 @@ func (s *AuditService) handleSegShip(msg *Message) (*Message, error) {
 }
 
 // verifyShip authenticates a shipment against the source's signing key.
-// The token's digest must cover the canonical ship claim (source,
-// segment, seal digest), its signature must verify, and its issuer must
-// be the claimed source — a shipment replayed under a different source
-// name, or signed by any key but the source's, is refused. A replayed
-// stale claim (an old segment's genuine token) passes here but lands in
-// Receive's idempotence/conflict handling: the seal digest in the claim
-// pins exactly one accepted history position.
+// A shipment without a token, or arriving at a receiver that cannot
+// verify tokens, is refused. The token's digest must cover the
+// canonical ship claim (source, segment, seal digest), its signature
+// must verify, and its issuer must be the claimed source — a shipment
+// replayed under a different source name, or signed by any key but the
+// source's, is refused. A replayed stale claim (an old segment's
+// genuine token) passes here but lands in Receive's idempotence/conflict
+// handling: the seal digest in the claim pins exactly one accepted
+// history position.
 func (s *AuditService) verifyShip(msg *Message, req *segShipReq) error {
 	var tok *evidence.Token
 	if len(msg.Tokens) > 0 {
@@ -379,10 +366,7 @@ func (s *AuditService) verifyShip(msg *Message, req *segShipReq) error {
 	}
 	ver := s.co.Services().Verifier
 	if tok == nil || ver == nil {
-		if s.shipAuth {
-			return fmt.Errorf("protocol: %s accepts only authenticated seg-ship", s.co.Party())
-		}
-		return nil
+		return fmt.Errorf("protocol: %s accepts only authenticated seg-ship", s.co.Party())
 	}
 	if req.Package == nil {
 		return errors.New("protocol: seg-ship without a package")
@@ -503,11 +487,18 @@ func (c *AuditClient) ReplicaStatus(ctx context.Context, peer id.Party, source s
 }
 
 // ShipSegment delivers one sealed segment package for source to a peer's
-// replica store. When the coordinator has a token issuer, the shipment
-// is authenticated: a KindSegShip token over the canonical ship claim
-// rides the message, binding the shipment to this organisation's
-// signing key (receivers running WithShipAuth accept nothing less).
+// replica store. The shipment is authenticated: a KindSegShip token over
+// the canonical ship claim rides the message, binding the shipment to
+// this organisation's signing key. A coordinator without a token issuer
+// cannot ship.
 func (c *AuditClient) ShipSegment(ctx context.Context, peer id.Party, source string, pkg *vault.SegmentPackage) error {
+	iss := c.co.Services().Issuer
+	if iss == nil {
+		return fmt.Errorf("protocol: %s cannot send authenticated seg-ship without a token issuer", c.co.Party())
+	}
+	if pkg == nil {
+		return errors.New("protocol: seg-ship without a package")
+	}
 	addr, err := c.co.Services().Directory.Resolve(peer)
 	if err != nil {
 		return err
@@ -516,40 +507,18 @@ func (c *AuditClient) ShipSegment(ctx context.Context, peer id.Party, source str
 	if err := msg.SetBody(&segShipReq{Source: source, Package: pkg}); err != nil {
 		return err
 	}
-	if iss := c.co.Services().Issuer; iss != nil && pkg != nil {
-		claim := shipClaim{Source: source, Segment: pkg.Entry.Segment, Seal: pkg.Entry.Digest}
-		d, derr := claim.digest()
-		if derr != nil {
-			return derr
-		}
-		tok, terr := iss.Issue(evidence.KindSegShip, msg.Run, 1, d)
-		if terr != nil {
-			return terr
-		}
-		msg.Tokens = []*evidence.Token{tok}
+	claim := shipClaim{Source: source, Segment: pkg.Entry.Segment, Seal: pkg.Entry.Digest}
+	d, err := claim.digest()
+	if err != nil {
+		return err
 	}
+	tok, err := iss.Issue(evidence.KindSegShip, msg.Run, 1, d)
+	if err != nil {
+		return err
+	}
+	msg.Tokens = []*evidence.Token{tok}
 	_, err = c.co.DeliverRequestAddr(ctx, addr, msg)
 	return err
-}
-
-// ShipTarget adapts a peer into a vault.ShipTarget for a Replicator. The
-// peer's address is resolved through the directory on every call, so
-// targets may be registered before the peer enrols.
-func (c *AuditClient) ShipTarget(peer id.Party) vault.ShipTarget {
-	return &auditShipTarget{c: c, peer: peer}
-}
-
-type auditShipTarget struct {
-	c    *AuditClient
-	peer id.Party
-}
-
-func (t *auditShipTarget) LastSealed(ctx context.Context, source string) (uint64, error) {
-	return t.c.ReplicaStatus(ctx, t.peer, source)
-}
-
-func (t *auditShipTarget) Ship(ctx context.Context, source string, pkg *vault.SegmentPackage) error {
-	return t.c.ShipSegment(ctx, t.peer, source, pkg)
 }
 
 // RemoteIterator pages a remote vault query, implementing the

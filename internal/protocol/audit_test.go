@@ -9,6 +9,7 @@ import (
 
 	"nonrep/internal/core"
 	"nonrep/internal/evidence"
+	"nonrep/internal/georep"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
 	"nonrep/internal/sig"
@@ -20,7 +21,7 @@ import (
 
 // auditFixture is two vault-backed coordinators with audit services: a
 // source organisation (alice) producing evidence and a peer (bob)
-// hosting its replicas.
+// hosting its replicas (receiving both seg-ship and geo tail pushes).
 type auditFixture struct {
 	realm    *testpki.Realm
 	dir      *protocol.Directory
@@ -73,8 +74,20 @@ func newAuditFixture(t *testing.T, network transport.Network) *auditFixture {
 	f.coB = newCo(bob, store.NewMemLog(realm.Clock))
 	protocol.NewAuditService(f.coA, vA, nil)
 	protocol.NewAuditService(f.coB, nil, rsB)
+	protocol.NewGeoService(f.coB, rsB)
 	f.client = protocol.NewAuditClient(f.coA)
 	return f
+}
+
+// replicateTo starts an async replication engine shipping v, owned by
+// source, to peer through co's audit and geo clients — the wiring a
+// domain organisation enrolled with WithReplication(peer) gets.
+func replicateTo(t *testing.T, co *protocol.Coordinator, v *vault.Vault, source, peer id.Party) *georep.Engine {
+	t.Helper()
+	eng := georep.NewEngine(v, string(source), georep.Policy{}, co.Services().Clock)
+	t.Cleanup(func() { _ = eng.Close() })
+	eng.AddTarget(string(peer), protocol.NewGeoClient(co).Target(peer, protocol.NewAuditClient(co)))
+	return eng
 }
 
 // fill appends n records of one run to alice's vault.
@@ -162,11 +175,13 @@ func TestRemoteAuditStream(t *testing.T) {
 // match what a local audit of the same (doctored) evidence produces.
 func TestRemoteAuditFailureTaxonomy(t *testing.T) {
 	t.Parallel()
-	network := transport.NewInprocNetwork()
-	t.Cleanup(func() { _ = network.Close() })
-
+	// Each subtest enrols alice and bob afresh, so each needs a network
+	// of its own: parallel subtests sharing one would collide on the
+	// parties' addresses.
 	t.Run("forged signature faults the exact record", func(t *testing.T) {
 		t.Parallel()
+		network := transport.NewInprocNetwork()
+		t.Cleanup(func() { _ = network.Close() })
 		f := newAuditFixture(t, network)
 		f.fill(t, 3)
 		// A forged token: issued by an uncertified key claiming alice.
@@ -196,6 +211,8 @@ func TestRemoteAuditFailureTaxonomy(t *testing.T) {
 
 	t.Run("tampered sealed segment surfaces as a stream integrity error", func(t *testing.T) {
 		t.Parallel()
+		network := transport.NewInprocNetwork()
+		t.Cleanup(func() { _ = network.Close() })
 		f := newAuditFixture(t, network)
 		f.fill(t, 9) // 2 sealed segments + tail
 		// Doctor a sealed record on disk: the serving vault must refuse to
@@ -222,8 +239,8 @@ func TestRemoteAuditFailureTaxonomy(t *testing.T) {
 }
 
 // TestSegShipReplication replicates over the protocol layer: alice's
-// replicator ships through seg-status/seg-ship messages into bob's
-// replica store, and an adjudication is then served entirely from bob's
+// replication engine ships through seg-status/seg-ship messages into
+// bob's replica store, and an adjudication is then served entirely from bob's
 // replica — including after alice's vault is gone.
 func TestSegShipReplication(t *testing.T) {
 	t.Parallel()
@@ -235,11 +252,9 @@ func TestSegShipReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := vault.NewReplicator(f.vA, string(alice), f.realm.Clock)
-	t.Cleanup(func() { _ = rep.Close() })
-	rep.AddTarget(string(bob), f.client.ShipTarget(bob))
-	if err := rep.Sync(context.Background()); err != nil {
-		t.Fatalf("Sync: %v", err)
+	eng := replicateTo(t, f.coA, f.vA, alice, bob)
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	last, err := f.rsB.LastSealed(string(alice))
 	if err != nil || last != 3 {
@@ -275,15 +290,13 @@ func TestSegShipFaultInjection(t *testing.T) {
 	f := newAuditFixture(t, faulty)
 	f.fill(t, 12)
 
-	rep := vault.NewReplicator(f.vA, string(alice), f.realm.Clock)
-	t.Cleanup(func() { _ = rep.Close() })
-	rep.AddTarget(string(bob), f.client.ShipTarget(bob))
+	eng := replicateTo(t, f.coA, f.vA, alice, bob)
 	// Retransmission masks the bounded drops; a few passes are allowed
-	// (each Sync re-negotiates from seg-status) but convergence must be
-	// reached.
+	// (a pass after a failure re-negotiates from seg-status) but
+	// convergence must be reached.
 	var lastErr error
 	for attempt := 0; attempt < 10; attempt++ {
-		if lastErr = rep.Sync(context.Background()); lastErr == nil {
+		if lastErr = eng.Flush(context.Background()); lastErr == nil {
 			break
 		}
 	}
@@ -372,6 +385,7 @@ func TestHostedTenantAuditAndReplication(t *testing.T) {
 	coB := addTenant(bob, store.NewMemLog(realm.Clock))
 	protocol.NewAuditService(coA, vA, nil)
 	protocol.NewAuditService(coB, nil, rsB)
+	protocol.NewGeoService(coB, rsB)
 
 	run := id.NewRun()
 	for i := 1; i <= 9; i++ {
@@ -384,16 +398,18 @@ func TestHostedTenantAuditAndReplication(t *testing.T) {
 		}
 	}
 
-	// Tenant-to-tenant replication through the shared endpoint.
-	client := protocol.NewAuditClient(coA)
-	rep := vault.NewReplicator(vA, string(alice), realm.Clock)
-	t.Cleanup(func() { _ = rep.Close() })
-	rep.AddTarget(string(bob), client.ShipTarget(bob))
-	if err := rep.Sync(context.Background()); err != nil {
-		t.Fatalf("hosted Sync: %v", err)
+	// Tenant-to-tenant replication through the shared endpoint: both
+	// sealed segments ship whole and the unsealed ninth record follows
+	// as a tail push.
+	eng := replicateTo(t, coA, vA, alice, bob)
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatalf("hosted Flush: %v", err)
 	}
 	if last, _ := rsB.LastSealed(string(alice)); last != 2 {
 		t.Fatalf("hosted replica at %d, want 2", last)
+	}
+	if acked, _ := rsB.AckedSeq(string(alice)); acked != 9 {
+		t.Fatalf("hosted replica tail at %d, want 9", acked)
 	}
 
 	// Remote audit of a hosted tenant, and of its replica at the other
@@ -406,8 +422,8 @@ func TestHostedTenantAuditAndReplication(t *testing.T) {
 	}
 	it = protocol.NewAuditClient(coA).Query(context.Background(), bob, vault.Query{}, string(alice))
 	replicaReport := core.NewAdjudicator(realm.Store).AuditStream(it)
-	if err := it.Err(); err != nil || !replicaReport.Clean() || replicaReport.Records != 8 {
-		t.Fatalf("hosted replica audit: %v clean=%v records=%d (8 sealed)", err, replicaReport.Clean(), replicaReport.Records)
+	if err := it.Err(); err != nil || !replicaReport.Clean() || replicaReport.Records != 9 {
+		t.Fatalf("hosted replica audit: %v clean=%v records=%d (8 sealed + 1 tail)", err, replicaReport.Clean(), replicaReport.Records)
 	}
 }
 

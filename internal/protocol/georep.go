@@ -77,11 +77,10 @@ func (c *geoAppendClaim) digest() (sig.Digest, error) {
 }
 
 // GeoService receives quorum tail pushes into an organisation's replica
-// store. Pushes must be authenticated whenever the coordinator can
-// verify tokens (the normal case — every domain organisation has a
-// verifier): a push without a valid source-issued token is refused, so
-// the tail path cannot be used to seed a bogus replica any more than
-// seg-ship can.
+// store. Pushes must be authenticated: a push without a valid
+// source-issued token — or arriving at a coordinator that cannot verify
+// tokens — is refused, so the tail path cannot be used to seed a bogus
+// replica any more than seg-ship can.
 type GeoService struct {
 	co       *Coordinator
 	replicas *vault.ReplicaSet
@@ -158,19 +157,15 @@ func (s *GeoService) handleAppend(msg *Message) (*Message, error) {
 }
 
 // verifyAppend authenticates a tail push against the source's signing
-// key. Unlike seg-ship (which keeps an unauthenticated compatibility
-// mode behind an option), geo pushes are a new protocol: whenever the
-// receiver can verify tokens it requires one, always.
+// key, under the same rule as seg-ship: no token, or no verifier to
+// check it with, is a refusal.
 func (s *GeoService) verifyAppend(msg *Message, req *geoAppendReq) error {
 	ver := s.co.Services().Verifier
-	if ver == nil {
-		return nil
-	}
 	var tok *evidence.Token
 	if len(msg.Tokens) > 0 {
 		tok = msg.Tokens[0]
 	}
-	if tok == nil {
+	if tok == nil || ver == nil {
 		return fmt.Errorf("protocol: %s accepts only authenticated geo-append", s.co.Party())
 	}
 	claim := geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(req.Frames)}
@@ -252,11 +247,15 @@ func (c *GeoClient) AckedSeq(ctx context.Context, peer id.Party, source string) 
 
 // Append pushes a contiguous batch of records of source's vault to
 // peer's replica tail, returning the replica's new acknowledged
-// sequence. The push is authenticated when the coordinator has a token
-// issuer.
+// sequence. The push is authenticated with a KindGeoAppend token; a
+// coordinator without a token issuer cannot push.
 func (c *GeoClient) Append(ctx context.Context, peer id.Party, source string, recs []*store.Record) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, errors.New("protocol: empty geo push")
+	}
+	iss := c.co.Services().Issuer
+	if iss == nil {
+		return 0, fmt.Errorf("protocol: %s cannot send authenticated geo-append without a token issuer", c.co.Party())
 	}
 	addr, err := c.co.Services().Directory.Resolve(peer)
 	if err != nil {
@@ -274,18 +273,16 @@ func (c *GeoClient) Append(ctx context.Context, peer id.Party, source string, re
 	if err := msg.SetBody(req); err != nil {
 		return 0, err
 	}
-	if iss := c.co.Services().Issuer; iss != nil {
-		claim := geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(req.Frames)}
-		d, derr := claim.digest()
-		if derr != nil {
-			return 0, derr
-		}
-		tok, terr := iss.Issue(evidence.KindGeoAppend, msg.Run, 1, d)
-		if terr != nil {
-			return 0, terr
-		}
-		msg.Tokens = []*evidence.Token{tok}
+	claim := geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(req.Frames)}
+	d, err := claim.digest()
+	if err != nil {
+		return 0, err
 	}
+	tok, err := iss.Issue(evidence.KindGeoAppend, msg.Run, 1, d)
+	if err != nil {
+		return 0, err
+	}
+	msg.Tokens = []*evidence.Token{tok}
 	reply, err := c.co.DeliverRequestAddr(ctx, addr, msg)
 	if err != nil {
 		return 0, err
@@ -323,12 +320,12 @@ func (t *GeoTarget) Append(ctx context.Context, source string, recs []*store.Rec
 	return t.geo.Append(ctx, t.peer, source, recs)
 }
 
-// LastSealed implements vault.ShipTarget.
+// LastSealed reports the highest sealed segment the peer replica holds.
 func (t *GeoTarget) LastSealed(ctx context.Context, source string) (uint64, error) {
 	return t.audit.ReplicaStatus(ctx, t.peer, source)
 }
 
-// Ship implements vault.ShipTarget.
+// Ship delivers one sealed segment to the peer replica.
 func (t *GeoTarget) Ship(ctx context.Context, source string, pkg *vault.SegmentPackage) error {
 	return t.audit.ShipSegment(ctx, t.peer, source, pkg)
 }

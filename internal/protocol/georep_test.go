@@ -18,8 +18,8 @@ import (
 const carol = id.Party("urn:org:carol")
 
 // geoFixture is a source organisation (alice) and a replica-hosting
-// peer (bob) wired for geo pushes and authenticated seg-ship, plus an
-// enrolled third party (carol) for cross-org confusion tests.
+// peer (bob) wired for geo pushes and seg-ship, plus an enrolled third
+// party (carol) for cross-org confusion tests.
 type geoFixture struct {
 	realm    *testpki.Realm
 	dir      *protocol.Directory
@@ -66,10 +66,29 @@ func newGeoFixture(t *testing.T, network transport.Network) *geoFixture {
 	f.coB = newCo(bob, store.NewMemLog(realm.Clock))
 	f.coC = newCo(carol, store.NewMemLog(realm.Clock))
 	protocol.NewGeoService(f.coB, rsB)
-	protocol.NewAuditService(f.coB, nil, rsB, protocol.WithShipAuth())
+	protocol.NewAuditService(f.coB, nil, rsB)
 	f.geo = protocol.NewGeoClient(f.coA)
 	f.audit = protocol.NewAuditClient(f.coA)
 	return f
+}
+
+// newBareCo enrols a coordinator on f's network that holds neither a
+// token issuer nor a verifier: it can neither sign shipments nor check
+// them.
+func (f *geoFixture) newBareCo(t *testing.T, network transport.Network, p id.Party) *protocol.Coordinator {
+	t.Helper()
+	co, err := protocol.New(network, string(p), &protocol.Services{
+		Party:     p,
+		Log:       store.NewMemLog(f.realm.Clock),
+		States:    store.NewMemStateStore(),
+		Clock:     f.realm.Clock,
+		Directory: f.dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = co.Close() })
+	return co
 }
 
 // fill appends n records of one run to alice's vault.
@@ -148,16 +167,38 @@ func TestGeoAppendAuth(t *testing.T) {
 	if got, err := f.rsB.AckedSeq(string(alice)); err != nil || got != 0 {
 		t.Fatalf("replica advanced on refused pushes: %d, %v", got, err)
 	}
+	// A coordinator without an issuer cannot push at all: the client
+	// refuses rather than send the batch unsigned.
+	anon := f.newBareCo(t, network, "urn:org:anon")
+	if _, err := protocol.NewGeoClient(anon).Append(ctx, bob, string(alice), recs); err == nil ||
+		!strings.Contains(err.Error(), "without a token issuer") {
+		t.Fatalf("issuer-less geo append: err = %v, want client-side refusal", err)
+	}
+	// A receiver without a verifier fails closed: it cannot check the
+	// token, so even alice's genuine push is refused.
+	blind := f.newBareCo(t, network, "urn:org:blind")
+	rsBlind, err := vault.OpenReplicaSet(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	protocol.NewGeoService(blind, rsBlind)
+	if _, err := f.geo.Append(ctx, "urn:org:blind", string(alice), recs); err == nil ||
+		!strings.Contains(err.Error(), "accepts only authenticated geo-append") {
+		t.Fatalf("geo append to a verifier-less receiver: err = %v, want refusal", err)
+	}
+	if got, err := rsBlind.AckedSeq(string(alice)); err != nil || got != 0 {
+		t.Fatalf("verifier-less replica advanced to %d, %v", got, err)
+	}
 	// The legitimate push still lands.
 	if acked, err := f.geo.Append(ctx, bob, string(alice), recs); err != nil || acked != 2 {
 		t.Fatalf("Append after refusals = %d, %v; want 2", acked, err)
 	}
 }
 
-// TestSegShipHardening is the seg-ship hardening sweep against a
-// WithShipAuth receiver: unsigned shipments, foreign-key tokens,
-// stale-manifest replays and cross-org confusion must all bounce, and
-// none may corrupt the replica.
+// TestSegShipHardening is the seg-ship hardening sweep: unsigned
+// shipments, verifier-less receivers, foreign-key tokens, stale-manifest
+// replays and cross-org confusion must all bounce, and none may corrupt
+// the replica.
 func TestSegShipHardening(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -174,38 +215,65 @@ func TestSegShipHardening(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An unsigned shipment is refused outright: a coordinator with no
-	// issuer cannot produce the required KindSegShip token.
-	anonSvc := &protocol.Services{
-		Party:     "urn:org:anon",
-		Verifier:  f.realm.Verifier(),
-		Log:       store.NewMemLog(f.realm.Clock),
-		States:    store.NewMemStateStore(),
-		Clock:     f.realm.Clock,
-		Directory: f.dir,
+	// Every refusal below must bounce before the replica changes. Bob's
+	// audit service is built exactly as cmd/ttpd builds its replica
+	// host: from the replica store alone.
+	anon := f.newBareCo(t, network, "urn:org:anon")
+	unsigned := &protocol.Message{Protocol: protocol.AuditProtocol, Run: id.NewRun(), Step: 1, Kind: protocol.KindSegShip}
+	if err := unsigned.SetBody(map[string]any{"source": string(alice), "package": pkg1}); err != nil {
+		t.Fatal(err)
 	}
-	coAnon, err := protocol.New(network, "urn:org:anon", anonSvc)
+	blind := f.newBareCo(t, network, "urn:org:blind")
+	rsBlind, err := vault.OpenReplicaSet(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = coAnon.Close() })
-	if err := protocol.NewAuditClient(coAnon).ShipSegment(ctx, bob, string(alice), pkg1); err == nil ||
-		!strings.Contains(err.Error(), "authenticated") {
-		t.Fatalf("unsigned shipment: err = %v, want authenticated-only refusal", err)
+	protocol.NewAuditService(blind, nil, rsBlind)
+	refusals := []struct {
+		name string
+		ship func() error
+		want string
+	}{{
+		// A coordinator with no issuer cannot produce the required
+		// KindSegShip token, so its client refuses to send at all.
+		name: "issuer-less shipper",
+		ship: func() error { return protocol.NewAuditClient(anon).ShipSegment(ctx, bob, string(alice), pkg1) },
+		want: "authenticated",
+	}, {
+		// A hand-built shipment carrying no token reaches the receiver,
+		// which refuses it.
+		name: "unsigned shipment to a default audit service",
+		ship: func() error {
+			_, err := anon.DeliverRequest(ctx, bob, unsigned)
+			return err
+		},
+		want: "accepts only authenticated seg-ship",
+	}, {
+		// A receiver without a verifier cannot check the token, so it
+		// fails closed even on alice's genuine shipment.
+		name: "verifier-less receiver",
+		ship: func() error { return f.audit.ShipSegment(ctx, "urn:org:blind", string(alice), pkg1) },
+		want: "accepts only authenticated seg-ship",
+	}, {
+		// Carol signing a claim about alice's segment: the token issuer
+		// must be the claimed source.
+		name: "foreign-key shipment",
+		ship: func() error { return protocol.NewAuditClient(f.coC).ShipSegment(ctx, bob, string(alice), pkg1) },
+		want: "token",
+	}, {
+		// Alice shipping her own segment under carol's source name fails
+		// verification (issuer != claimed source).
+		name: "cross-org shipment",
+		ship: func() error { return f.audit.ShipSegment(ctx, bob, string(carol), pkg1) },
+		want: "token",
+	}}
+	for _, tc := range refusals {
+		if err := tc.ship(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q refusal", tc.name, err, tc.want)
+		}
 	}
-
-	// A foreign-key shipment — carol signing a claim about alice's
-	// segment — is refused: the token issuer must be the claimed source.
-	if err := protocol.NewAuditClient(f.coC).ShipSegment(ctx, bob, string(alice), pkg1); err == nil ||
-		!strings.Contains(err.Error(), "token") {
-		t.Fatalf("foreign-key shipment: err = %v, want token refusal", err)
-	}
-
-	// Cross-org confusion: alice shipping her own segment under carol's
-	// source name fails verification (issuer != claimed source).
-	if err := f.audit.ShipSegment(ctx, bob, string(carol), pkg1); err == nil ||
-		!strings.Contains(err.Error(), "token") {
-		t.Fatalf("cross-org shipment: err = %v, want token refusal", err)
+	if last, err := rsBlind.LastSealed(string(alice)); err != nil || last != 0 {
+		t.Fatalf("verifier-less replica holds segment %d (%v)", last, err)
 	}
 
 	// Nothing above may have installed anything.

@@ -364,9 +364,9 @@ func (v *Vault) addSealHook(fn func(ManifestEntry)) {
 }
 
 // OnSeal registers fn to be notified of future seals, like WithSealHook
-// but after the vault is open — the replicator attaches itself here. The
-// returned cancel unregisters the hook; a detached tenant must not keep
-// receiving its former vault's seals.
+// but after the vault is open — the replication engine attaches itself
+// here. The returned cancel unregisters the hook; a detached tenant must
+// not keep receiving its former vault's seals.
 func (v *Vault) OnSeal(fn func(ManifestEntry)) (cancel func()) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -1052,9 +1052,9 @@ func (v *Vault) Sync() error {
 
 // SealNow seals the active segment immediately, without waiting for it to
 // fill: its records are indexed, manifest-chained and evicted like any
-// rotation. Replication ships only sealed segments, so a source that must
-// hand its complete log to peers — before a planned shutdown, or ahead of
-// an adjudication — seals first. A vault with an empty active segment is
+// rotation. Segment shipping and archiving move only sealed segments, so
+// a source that must hand its complete log to peers as sealed history —
+// before a planned shutdown, or ahead of an adjudication — seals first. A vault with an empty active segment is
 // left as is. The call blocks until the seal is durable.
 func (v *Vault) SealNow() error {
 	if v.readOnly {
@@ -1243,8 +1243,8 @@ func (v *Vault) Close() error {
 			<-v.done
 		}
 		// Final notify pass: anything still pending when the committer
-		// stopped must reach the hooks, or a replicator/subscriber would
-		// miss the last segment until the next catch-up.
+		// stopped must reach the hooks, or a replication engine or
+		// subscriber would miss the last segment until the next catch-up.
 		v.notifyCommits()
 		v.notifySeals()
 		v.mu.Lock()

@@ -15,7 +15,7 @@ import (
 // TestCloseFlushesPendingSealNotifications: a seal still sitting in
 // pendingSeals when the committer stops must reach the OnSeal hooks
 // during Close — the old Close tore the vault down without a final
-// notify pass, so the replicator missed the last segment until the next
+// notify pass, so replication missed the last segment until the next
 // status catch-up.
 func TestCloseFlushesPendingSealNotifications(t *testing.T) {
 	t.Parallel()

@@ -331,10 +331,7 @@ type (
 	// ReplicaSet is an organisation's verified store of peers' sealed
 	// segments (Org.Replicas).
 	ReplicaSet = vault.ReplicaSet
-	// Replicator ships sealed segments to peers (Org.Replication; enable
-	// with WithReplication).
-	Replicator = vault.Replicator
-	// AuditClient drives remote audits and replication shipping
+	// AuditClient drives remote audits and sealed-segment shipping
 	// (Org.AuditClient).
 	AuditClient = protocol.AuditClient
 	// RemoteRecords streams a remote vault audit page by page; it is a
@@ -389,9 +386,6 @@ type (
 	// TraceNode is one node of an assembled trace tree
 	// (obs.BuildTree over a trace's spans).
 	TraceNode = obs.TraceNode
-	// ReplicatorStatus reports a replicator's shipping health
-	// (Replicator.Status; surfaced on /healthz).
-	ReplicatorStatus = vault.ReplicatorStatus
 )
 
 // BuildTraceTree assembles finished spans into parent/child trees, e.g.

@@ -82,8 +82,8 @@ func TestReplicationDisasterRecovery(t *testing.T) {
 	if err := a.Vault().SealNow(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Replication().Sync(ctx); err != nil {
-		t.Fatalf("replication sync: %v", err)
+	if err := a.Georep().Flush(ctx); err != nil {
+		t.Fatalf("replication flush: %v", err)
 	}
 
 	// Pre-loss baseline: a local streaming audit of A's vault.
@@ -194,6 +194,11 @@ func TestHostedOrgReplication(t *testing.T) {
 
 	if err := a.Vault().SealNow(); err != nil {
 		t.Fatal(err)
+	}
+	// Replication().Sync is the deprecated spelling of Georep().Flush;
+	// it must keep flushing the same engine.
+	if a.Replication() != a.Georep() {
+		t.Fatal("Replication() is not the Georep() engine")
 	}
 	if err := a.Replication().Sync(ctx); err != nil {
 		t.Fatalf("hosted replication sync: %v", err)

@@ -256,7 +256,7 @@ func TestChunkedSegmentReplicationOver16MiB(t *testing.T) {
 		t.Fatal("test did not produce a sealed segment > 16 MiB")
 	}
 
-	if err := a.Replication().Sync(ctx); err != nil {
+	if err := a.Georep().Flush(ctx); err != nil {
 		t.Fatalf("chunked seg-ship sync: %v", err)
 	}
 	last, err := b.Replicas().LastSealed(string(orgA))

@@ -303,9 +303,9 @@ func TestHostedTelemetryPerTenantAttribution(t *testing.T) {
 	}
 }
 
-// TestReplicationTelemetryStatus drives segment replication with
-// telemetry on and asserts Replicator.Status and the health surface
-// report shipping progress.
+// TestReplicationTelemetryStatus drives WithReplication with telemetry
+// on and asserts the engine's Durability status, replication metrics
+// and health source report shipping progress.
 func TestReplicationTelemetryStatus(t *testing.T) {
 	t.Parallel()
 	domain, err := nonrep.NewDomain(nonrep.WithTelemetry())
@@ -337,38 +337,58 @@ func TestReplicationTelemetryStatus(t *testing.T) {
 	}
 	proxy := caller.Proxy("urn:org:primary", "urn:org:primary/orders2", nil)
 	for i := 0; i < 12; i++ {
-		if _, err := proxy.Call(context.Background(), "Place", fmt.Sprintf("m-%d", i)); err != nil {
+		res, err := proxy.Call(context.Background(), "Place", fmt.Sprintf("m-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The receipt lands in the primary's vault after Call returns;
+		// wait for it so the vault is quiet before the Flush.
+		if err := srv.WaitReceipt(context.Background(), res.Run); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := primary.Replication().Sync(context.Background()); err != nil {
+	// Rotation seals run on the vault's committer after the append that
+	// fills a segment returns; SealNow queues behind them, so the seal
+	// head is settled before the Flush.
+	if err := primary.Vault().SealNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Georep().Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	st := primary.Replication().Status()
-	if st.Targets != 1 {
-		t.Fatalf("targets = %d", st.Targets)
+	st := primary.Durability()
+	if st.Mode != "async" || st.Quorum != 0 {
+		t.Fatalf("WithReplication policy = %s/%d, want async/0", st.Mode, st.Quorum)
 	}
-	if st.ShippedSegments == 0 {
+	if len(st.Targets) != 1 {
+		t.Fatalf("targets = %+v", st.Targets)
+	}
+	target := st.Targets[0]
+	if target.SealedSegments == 0 {
 		t.Fatal("no segments shipped")
 	}
-	if st.LastError != "" {
-		t.Fatalf("last error = %q", st.LastError)
+	if target.LastError != "" {
+		t.Fatalf("last error = %q", target.LastError)
 	}
-	if st.LastSuccess.IsZero() {
-		t.Fatal("no last-success time recorded")
-	}
-	if st.LagSegments != 0 || st.BacklogSegments != 0 {
-		t.Fatalf("lag=%d backlog=%d after Sync, want 0/0", st.LagSegments, st.BacklogSegments)
+	// Zero lag after Flush: the replica holds every sealed segment and
+	// every tail record.
+	head := primary.Vault().Manifest()
+	if target.SealedSegments != head[len(head)-1].Segment || target.AckedSeq != st.LocalSeq {
+		t.Fatalf("target %+v behind seal head %d / local seq %d after Flush",
+			target, head[len(head)-1].Segment, st.LocalSeq)
 	}
 
 	snap := domain.Telemetry().Registry().Snapshot()
 	if got := snap.Counter(obs.MReplShippedTotal, "urn:org:primary"); got == 0 {
 		t.Fatal("no shipped segments attributed to the primary")
 	}
+	if got := snap.Gauge(obs.MReplLagSegments, "urn:org:primary"); got != 0 {
+		t.Fatalf("lag gauge = %d after Flush, want 0", got)
+	}
 	health := domain.Telemetry().Health()
-	if _, ok := health["replication:urn:org:primary"]; !ok {
-		t.Fatalf("health missing replication source, have %v", health)
+	if _, ok := health["georep:urn:org:primary"]; !ok {
+		t.Fatalf("health missing georep source, have %v", health)
 	}
 }
 
