@@ -5,14 +5,17 @@
 package nonrep_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nonrep"
 	"nonrep/internal/access"
 	"nonrep/internal/canon"
 	"nonrep/internal/container"
@@ -642,5 +645,71 @@ func BenchmarkEvidenceByTxn(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// echoStreamComponent streams its input straight back.
+type echoStreamComponent struct{}
+
+func (echoStreamComponent) Echo(_ context.Context, in io.Reader, out io.Writer) (int64, error) {
+	return io.Copy(out, in)
+}
+
+// BenchmarkCallStream is the regression guard for the streamed byte path:
+// a 2 MiB echo through Proxy.CallStream over the in-process network —
+// chunk send, server buffering and chain verification, the evidence
+// rounds, and the verified lazy read of the result stream. The server
+// keeps each run's result chunks for the life of the domain (about 2 MiB
+// an iteration), so bound the run with -benchtime=Nx.
+func BenchmarkCallStream(b *testing.B) {
+	domain, err := nonrep.NewDomain()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer domain.Close()
+	caller, err := domain.AddOrg(benchClient)
+	if err != nil {
+		b.Fatal(err)
+	}
+	callee, err := domain.AddOrg(benchServer)
+	if err != nil {
+		b.Fatal(err)
+	}
+	desc := nonrep.Descriptor{
+		Service: "urn:org:server/echo",
+		Methods: map[string]nonrep.MethodPolicy{
+			"Echo": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+		},
+	}
+	if err := callee.Deploy(desc, echoStreamComponent{}); err != nil {
+		b.Fatal(err)
+	}
+	srv := callee.Serve()
+	defer srv.Close()
+	proxy := caller.Proxy(benchServer, "urn:org:server/echo", nil)
+	payload := bigPayload(2<<20, 1)
+	ctx := context.Background()
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := proxy.CallStream(ctx, "Echo", nonrep.StreamParam("doc", bytes.NewReader(payload)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Status != nonrep.StatusOK {
+			b.Fatalf("status %v: %s", res.Status, res.Err)
+		}
+		rs := res.Stream("stream0")
+		if rs == nil {
+			b.Fatalf("no streamed result; have %v", res.StreamNames())
+		}
+		n, err := io.Copy(io.Discard, rs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != int64(len(payload)) {
+			b.Fatalf("echoed %d bytes, want %d", n, len(payload))
+		}
 	}
 }

@@ -340,10 +340,10 @@ func (c *Client) sendStream(ctx context.Context, server id.Party, run id.Run, tx
 	for {
 		n, err := io.ReadFull(st.Reader, buf)
 		if n > 0 {
-			msg := &protocol.Message{Protocol: c.proto, Run: run, Txn: txn, Step: stepRequest, Kind: kindChunk}
-			if berr := msg.SetBody(chunkBody{Stream: sid, Seq: seq, Data: buf[:n]}); berr != nil {
-				return nil, berr
-			}
+			// The encoded body copies the chunk: buf is refilled by the
+			// next read while the message may still be buffered downstream.
+			msg := &protocol.Message{Protocol: c.proto, Run: run, Txn: txn, Step: stepRequest, Kind: kindChunk,
+				Payload: marshalChunkBody(&chunkBody{Name: sid, Seq: seq, Data: buf[:n]})}
 			if _, derr := c.co.DeliverRequest(ctx, server, msg); derr != nil {
 				return nil, fmt.Errorf("invoke: ship stream %q chunk %d: %w", st.Name, seq, derr)
 			}

@@ -379,13 +379,13 @@ func (s *Server) execute(ctx context.Context, snap *evidence.RequestSnapshot, re
 // bound what an unauthenticated sender can pin in memory.
 func (s *Server) processChunk(msg *protocol.Message) (*protocol.Message, error) {
 	var cb chunkBody
-	if err := msg.Body(&cb); err != nil {
+	if err := unmarshalChunkBody(msg.Kind, msg.Payload, &cb); err != nil {
 		return nil, err
 	}
-	if cb.Stream == "" {
+	if cb.Name == "" {
 		return nil, fmt.Errorf("invoke: chunk without stream id")
 	}
-	key := streamKey(msg.Sender, cb.Stream)
+	key := streamKey(msg.Sender, cb.Name)
 	s.streamMu.Lock()
 	ps := s.pending[key]
 	if ps == nil {
@@ -419,28 +419,24 @@ func (s *Server) processChunk(msg *protocol.Message) (*protocol.Message, error) 
 	switch {
 	case cb.Seq < 0 || cb.Seq > len(ps.chunks):
 		s.streamMu.Unlock()
-		return nil, fmt.Errorf("invoke: chunk %d out of order for stream %q (have %d)", cb.Seq, cb.Stream, len(ps.chunks))
+		return nil, fmt.Errorf("invoke: chunk %d out of order for stream %q (have %d)", cb.Seq, cb.Name, len(ps.chunks))
 	case cb.Seq < len(ps.chunks):
 		// Protocol-level duplicate: acknowledged only when identical.
 		if !bytes.Equal(ps.chunks[cb.Seq], cb.Data) {
 			s.streamMu.Unlock()
-			return nil, fmt.Errorf("invoke: conflicting duplicate of chunk %d in stream %q", cb.Seq, cb.Stream)
+			return nil, fmt.Errorf("invoke: conflicting duplicate of chunk %d in stream %q", cb.Seq, cb.Name)
 		}
 	default:
 		if ps.bytes+int64(len(cb.Data)) > s.maxStreamBytes {
 			delete(s.pending, key)
 			s.streamMu.Unlock()
-			return nil, fmt.Errorf("invoke: stream %q exceeds the %d byte limit", cb.Stream, s.maxStreamBytes)
+			return nil, fmt.Errorf("invoke: stream %q exceeds the %d byte limit", cb.Name, s.maxStreamBytes)
 		}
 		ps.chunks = append(ps.chunks, cb.Data)
 		ps.bytes += int64(len(cb.Data))
 	}
 	s.streamMu.Unlock()
-	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Txn: msg.Txn, Step: msg.Step, Kind: kindChunkAck}
-	if err := reply.SetBody(struct{}{}); err != nil {
-		return nil, err
-	}
-	return reply, nil
+	return &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Txn: msg.Txn, Step: msg.Step, Kind: kindChunkAck}, nil
 }
 
 // collectStreams resolves every streamed parameter of a verified request
@@ -498,8 +494,8 @@ func (s *Server) takeStream(sender id.Party, ref *evidence.StreamRef, name strin
 // processChunkFetch serves one chunk of a run's streamed result. Fetches
 // are idempotent reads; replay protection is the transport's concern.
 func (s *Server) processChunkFetch(msg *protocol.Message) (*protocol.Message, error) {
-	var fb chunkFetchBody
-	if err := msg.Body(&fb); err != nil {
+	var fb chunkBody
+	if err := unmarshalChunkBody(msg.Kind, msg.Payload, &fb); err != nil {
 		return nil, err
 	}
 	// The chunk is read under s.mu: TamperResultChunk replaces slice
@@ -521,11 +517,8 @@ func (s *Server) processChunkFetch(msg *protocol.Message) (*protocol.Message, er
 	}
 	data := chunks[fb.Seq]
 	s.mu.Unlock()
-	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Step: msg.Step, Kind: kindChunkData}
-	if err := reply.SetBody(chunkDataBody{Data: data}); err != nil {
-		return nil, err
-	}
-	return reply, nil
+	return &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Step: msg.Step, Kind: kindChunkData,
+		Payload: marshalChunkBody(&chunkBody{Name: fb.Name, Seq: fb.Seq, Data: data})}, nil
 }
 
 // ErrNotExecuted signals from an Executor that the request was received

@@ -7,6 +7,12 @@
 // verifiable. Streamed results travel pull-style: the response snapshot
 // carries the chain (signed by NRO-of-response), and the client fetches
 // and verifies chunks lazily as the result is read.
+//
+// Chunk data travels raw: the chunk, chunk-fetch and chunk-data bodies
+// are one binary frame (chunkBody) carrying the payload bytes as a raw
+// length-prefixed run, decoded at the receiver as a borrowed sub-slice
+// of the envelope body — never through canonical JSON or base64. The signed forms are untouched; the digest chain binds the
+// bytes, not their encoding.
 package invoke
 
 import (
@@ -15,6 +21,7 @@ import (
 	"io"
 	"sync"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
@@ -57,24 +64,72 @@ const (
 	kindChunkData  = "chunk-data"
 )
 
-// chunkBody is one streamed-parameter chunk, delivered before the request.
+// chunkBody is the body of every chunk, chunk-fetch and chunk-data
+// message: a streamed-parameter chunk (Name is the stream id), a fetch of
+// one result chunk (Name is the result stream, Data nil), or the fetched
+// chunk (Name and Seq echo the fetch).
 type chunkBody struct {
-	Stream string `json:"stream"`
-	Seq    int    `json:"seq"`
-	Data   []byte `json:"data,omitempty"`
+	Name string
+	Seq  int
+	Data []byte
 }
 
-// chunkFetchBody requests one chunk of a streamed result.
-type chunkFetchBody struct {
-	Run  id.Run `json:"run"`
-	Name string `json:"name"`
-	Seq  int    `json:"seq"`
+// Binary chunk-body magic byte (outside UTF-8's byte range, so it cannot
+// open a canonical-JSON body, and distinct from the protocol message,
+// subscription push and transport chunk-frame magics) and format version.
+const (
+	chunkBodyMagic   = 0xF6
+	chunkBodyVersion = 0x01
+)
+
+// marshalChunkBody encodes a chunk body into a buffer of exactly its
+// size. Data is copied, so the caller may reuse its buffer at once.
+func marshalChunkBody(b *chunkBody) []byte {
+	size := 2 + uvarintLen(uint64(len(b.Name))) + len(b.Name) + uvarintLen(zigzag(int64(b.Seq))) + 1
+	if b.Data != nil {
+		size += uvarintLen(uint64(len(b.Data))) + len(b.Data)
+	}
+	dst := make([]byte, 0, size)
+	dst = append(dst, chunkBodyMagic, chunkBodyVersion)
+	dst = canon.AppendString(dst, b.Name)
+	dst = canon.AppendVarint(dst, int64(b.Seq))
+	return canon.AppendBytes(dst, b.Data)
 }
 
-// chunkDataBody answers a chunk fetch.
-type chunkDataBody struct {
-	Data []byte `json:"data,omitempty"`
+// unmarshalChunkBody decodes the chunk body of a message of the given
+// kind. There is no JSON form: only this package produces these kinds.
+// Data is a sub-slice of data, borrowed like the envelope body it came
+// from.
+func unmarshalChunkBody(kind string, data []byte, b *chunkBody) error {
+	if len(data) == 0 || data[0] != chunkBodyMagic {
+		return fmt.Errorf("invoke: %s body is not a binary chunk body", kind)
+	}
+	r := canon.NewBinReader(data)
+	r.Byte() // magic, checked above
+	if v := r.Byte(); r.Err() == nil && v != chunkBodyVersion {
+		return fmt.Errorf("invoke: %s body: unknown chunk body version 0x%02x", kind, v)
+	}
+	b.Name = r.ValidString()
+	b.Seq = r.Int()
+	b.Data = r.Bytes()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("invoke: decode %s body: %w", kind, err)
+	}
+	return nil
 }
+
+// uvarintLen is the encoded length of v as an unsigned varint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// zigzag maps a signed integer onto the unsigned value a signed varint
+// encodes.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // StreamExecutor is an Executor that additionally accepts streamed
 // parameters and produces streamed results. The container implements it;
@@ -195,12 +250,16 @@ func (b *resultBuffer) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// sealedChunks returns the chunk list with any partial tail flushed.
+// sealedChunks returns the chunk list with any partial tail flushed. The
+// tail is trimmed to its length: the server keeps result chunks for the
+// run's lifetime, and a short result must not pin a whole chunk.
 func (b *resultBuffer) sealedChunks() [][]byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cur != nil {
-		b.chunks = append(b.chunks, b.cur)
+		tail := make([]byte, len(b.cur))
+		copy(tail, b.cur)
+		b.chunks = append(b.chunks, tail)
 		b.cur = nil
 	}
 	return b.chunks
@@ -277,19 +336,20 @@ func (s *ResultStream) Read(p []byte) (int, error) {
 		if s.seq >= len(s.ref.Chunks) {
 			return 0, io.EOF
 		}
-		msg := &protocol.Message{Protocol: s.proto, Run: s.run, Step: stepResponse, Kind: kindChunkFetch}
-		if err := msg.SetBody(chunkFetchBody{Run: s.run, Name: s.name, Seq: s.seq}); err != nil {
-			s.err = err
-			return 0, s.err
-		}
+		msg := &protocol.Message{Protocol: s.proto, Run: s.run, Step: stepResponse, Kind: kindChunkFetch,
+			Payload: marshalChunkBody(&chunkBody{Name: s.name, Seq: s.seq})}
 		reply, err := s.co.DeliverRequest(s.ctx, s.server, msg)
 		if err != nil {
 			s.err = fmt.Errorf("invoke: fetch result stream %q chunk %d: %w", s.name, s.seq, err)
 			return 0, s.err
 		}
-		var db chunkDataBody
-		if err := reply.Body(&db); err != nil {
+		var db chunkBody
+		if err := unmarshalChunkBody(reply.Kind, reply.Payload, &db); err != nil {
 			s.err = err
+			return 0, s.err
+		}
+		if db.Name != s.name || db.Seq != s.seq {
+			s.err = fmt.Errorf("invoke: fetch result stream %q chunk %d answered with %q chunk %d", s.name, s.seq, db.Name, db.Seq)
 			return 0, s.err
 		}
 		if err := s.ref.VerifyChunk(s.seq, db.Data); err != nil {

@@ -158,8 +158,8 @@ func TestStreamedParamBoundByNRO(t *testing.T) {
 	}
 }
 
-// tamperChain is a coordinator handler wrapper that flips one byte of one
-// streamed chunk in flight.
+// TestTamperedChunkAttributedByIndex: one byte of one streamed chunk is
+// flipped in flight; the request fails naming that chunk.
 func TestTamperedChunkAttributedByIndex(t *testing.T) {
 	d := testpki.MustDomain(client, server)
 	defer d.Close()
@@ -192,35 +192,12 @@ func TestTamperedChunkAttributedByIndex(t *testing.T) {
 			wire = append([]byte(nil), chunk...)
 			wire[0] ^= 0xff
 		}
-		msg := &protocol.Message{Protocol: invoke.ProtocolDirect, Run: run, Step: 1, Kind: "chunk"}
-		if err := msg.SetBody(map[string]any{"stream": sid, "seq": seq, "data": wire}); err != nil {
-			t.Fatal(err)
-		}
+		msg := invoke.NewChunkMessage(invoke.ProtocolDirect, run, sid, seq, wire)
 		if _, err := co.DeliverRequest(context.Background(), server, msg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ref, err := dig.Ref(sid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := co.Services()
-	snap := evidence.RequestSnapshot{
-		Run: run, Client: svc.Party, Server: server,
-		Service: "urn:org:manufacturer/docs", Operation: "Archive",
-		Params:   []evidence.Param{{Kind: evidence.ParamStream, Name: "doc", Stream: &ref}},
-		Protocol: invoke.ProtocolDirect,
-	}
-	reqDigest, err := snap.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nro, err := svc.Issuer.Issue(evidence.KindNRO, run, 1, reqDigest, evidence.WithRecipients(server))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := invoke.NewRequestMessage(invoke.ProtocolDirect, run, snap, nro)
-	_, err = co.DeliverRequest(context.Background(), server, msg)
+	_, err := co.DeliverRequest(context.Background(), server, signedStreamRequest(t, co, run, dig, sid))
 	if err == nil {
 		t.Fatal("request over a tampered chunk succeeded")
 	}
@@ -252,13 +229,58 @@ func TestMissingChunkRefused(t *testing.T) {
 	if err := dig.Add(chunk); err != nil {
 		t.Fatal(err)
 	}
+	msg := invoke.NewChunkMessage(invoke.ProtocolDirect, run, sid, 0, chunk)
+	if _, err := co.DeliverRequest(context.Background(), server, msg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.DeliverRequest(context.Background(), server, signedStreamRequest(t, co, run, dig, sid)); err == nil {
+		t.Fatal("request with a missing chunk succeeded")
+	} else if !strings.Contains(err.Error(), "1 of the 2 chunks") {
+		t.Fatalf("missing chunk not attributed: %v", err)
+	}
+}
+
+// TestJSONChunkBodyRefused: chunk bodies are binary-only. A canonical-JSON
+// chunk (the pre-binary form) is refused with an error naming the kind,
+// and nothing of it is buffered: the request signed over that one chunk
+// finds none delivered.
+func TestJSONChunkBodyRefused(t *testing.T) {
+	d := testpki.MustDomain(client, server)
+	defer d.Close()
+	exec := invoke.StreamExecutorFunc(func(_ context.Context, _ *evidence.RequestSnapshot, _ map[string]io.Reader, _ *invoke.ResultStreams) ([]evidence.Param, error) {
+		return nil, nil
+	})
+	srv := invoke.NewServer(d.Node(server).Coordinator(), exec)
+	defer srv.Close()
+
+	co := d.Node(client).Coordinator()
+	run := id.NewRun()
+	sid := string(run) + "/doc"
+	chunk := streamPayload(1024, 6)
+	dig := evidence.NewStreamDigester(invoke.DefaultStreamChunk)
+	if err := dig.Add(chunk); err != nil {
+		t.Fatal(err)
+	}
 	msg := &protocol.Message{Protocol: invoke.ProtocolDirect, Run: run, Step: 1, Kind: "chunk"}
 	if err := msg.SetBody(map[string]any{"stream": sid, "seq": 0, "data": chunk}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.DeliverRequest(context.Background(), server, msg); err != nil {
-		t.Fatal(err)
+	if _, err := co.DeliverRequest(context.Background(), server, msg); err == nil {
+		t.Fatal("JSON chunk body accepted")
+	} else if !strings.Contains(err.Error(), "chunk body is not a binary chunk body") {
+		t.Fatalf("JSON chunk refusal does not name the kind: %v", err)
 	}
+	if _, err := co.DeliverRequest(context.Background(), server, signedStreamRequest(t, co, run, dig, sid)); err == nil {
+		t.Fatal("request over a refused JSON chunk succeeded")
+	} else if !strings.Contains(err.Error(), "0 of the 1 chunks") {
+		t.Fatalf("refused JSON chunk was buffered: %v", err)
+	}
+}
+
+// signedStreamRequest builds the step-1 request binding the digested
+// chain of stream sid as parameter "doc", under the client's NRO.
+func signedStreamRequest(t *testing.T, co *protocol.Coordinator, run id.Run, dig *evidence.StreamDigester, sid string) *protocol.Message {
+	t.Helper()
 	ref, err := dig.Ref(sid)
 	if err != nil {
 		t.Fatal(err)
@@ -278,11 +300,7 @@ func TestMissingChunkRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.DeliverRequest(context.Background(), server, invoke.NewRequestMessage(invoke.ProtocolDirect, run, snap, nro)); err == nil {
-		t.Fatal("request with a missing chunk succeeded")
-	} else if !strings.Contains(err.Error(), "1 of the 2 chunks") {
-		t.Fatalf("missing chunk not attributed: %v", err)
-	}
+	return invoke.NewRequestMessage(invoke.ProtocolDirect, run, snap, nro)
 }
 
 // TestPlainExecutorRefusesStreams: streams against a non-streaming

@@ -3,6 +3,8 @@ package protocol_test
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -214,6 +216,21 @@ func TestMessageBodyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMessageBodyErrors: an unencodable body is refused by SetBody, and
+// a malformed payload fails Body with an error naming protocol and kind.
+func TestMessageBodyErrors(t *testing.T) {
+	t.Parallel()
+	msg := &protocol.Message{Protocol: "p", Kind: "k"}
+	if err := msg.SetBody(make(chan int)); err == nil {
+		t.Fatal("SetBody of a channel succeeded")
+	}
+	msg.Payload = []byte("{")
+	var v map[string]any
+	if err := msg.Body(&v); err == nil || !strings.Contains(err.Error(), "p/k") {
+		t.Fatalf("Body of a malformed payload: %v", err)
+	}
+}
+
 func TestReplyCache(t *testing.T) {
 	t.Parallel()
 	cache := protocol.NewReplyCache()
@@ -229,6 +246,44 @@ func TestReplyCache(t *testing.T) {
 	}
 	if _, ok := cache.Get(run, 2); ok {
 		t.Fatal("Get with different step returned a message")
+	}
+	if _, ok := cache.Get(id.NewRun(), 1); ok {
+		t.Fatal("Get for another run with the same step returned a message")
+	}
+	second := &protocol.Message{Protocol: "p", Run: run, Kind: "second"}
+	cache.Put(run, 1, second)
+	if got, _ := cache.Get(run, 1); got != second {
+		t.Fatalf("Get after overwrite = %+v, want the second reply", got)
+	}
+
+	// Concurrent use from many goroutines neither loses nor crosses
+	// entries.
+	const workers, steps = 8, 50
+	runs := make([]id.Run, workers)
+	for i := range runs {
+		runs[i] = id.NewRun()
+	}
+	var wg sync.WaitGroup
+	for _, run := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for step := 0; step < steps; step++ {
+				cache.Put(run, step, &protocol.Message{Run: run, Step: step})
+				if got, ok := cache.Get(run, step); !ok || got.Run != run || got.Step != step {
+					t.Errorf("Get(%s, %d) = %+v, %v", run, step, got, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, run := range runs {
+		for step := 0; step < steps; step++ {
+			if got, ok := cache.Get(run, step); !ok || got.Run != run || got.Step != step {
+				t.Fatalf("entry (%s, %d) lost or crossed: %+v", run, step, got)
+			}
+		}
 	}
 }
 

@@ -46,10 +46,12 @@ const (
 	KindChunkData = "chunk-data"
 )
 
-// Chunking defaults. The chunk size must leave room for the JSON/base64
-// envelope overhead (×4/3 twice: the slice inside the chunk frame and the
-// envelope body inside the wire frame) under the 16 MiB wire frame; 4 MiB
-// slices encode to ~7.2 MiB frames.
+// Chunking defaults. Envelopes and chunk frames are binary, so bytes ride
+// the 16 MiB wire frame raw: a 4 MiB slice plus the chunk-frame and
+// envelope headers (tens of bytes) is a ~4 MiB frame, and an unchunked
+// body at the 8 MiB threshold a ~8 MiB one — half the frame budget. The
+// rest of the margin covers WireJSON framing, which base64s the envelope
+// body once (×4/3): a threshold-sized body then frames at ~10.7 MiB.
 const (
 	// DefaultChunkThreshold is the body size above which an envelope is
 	// chunked (8 MiB: within one wire frame after encoding overhead).
