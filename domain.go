@@ -236,7 +236,6 @@ type OrgOption func(*orgConfig)
 
 type orgConfig struct {
 	addr           string
-	logPath        string
 	vaultDir       string
 	vaultOpts      []vault.Option
 	roles          []string
@@ -268,15 +267,10 @@ func WithAddr(addr string) OrgOption {
 	return func(c *orgConfig) { c.addr = addr }
 }
 
-// WithFileLog persists the organisation's evidence log at path.
-func WithFileLog(path string) OrgOption {
-	return func(c *orgConfig) { c.logPath = path }
-}
-
 // WithVault persists the organisation's evidence in a segmented,
 // group-committed vault rooted at dir — the production-scale store whose
 // memory stays bounded regardless of log length and whose appends are
-// batched into one fsync per group. Takes precedence over WithFileLog.
+// batched into one fsync per group.
 func WithVault(dir string, opts ...VaultOption) OrgOption {
 	return func(c *orgConfig) {
 		c.vaultDir = dir
@@ -296,11 +290,6 @@ var (
 	VaultPreallocate = vault.WithPreallocate
 	// VaultWithoutSync trades machine-crash durability for throughput.
 	VaultWithoutSync = vault.WithoutSync
-	// VaultJSONSegments writes canonical-JSON segments instead of the
-	// binary frame format — for vaults where a grep-able on-disk log
-	// matters more than speed. Existing segments keep their encoding
-	// either way; a vault may hold both side by side.
-	VaultJSONSegments = vault.WithJSONSegments
 )
 
 // WithReplication makes the organisation replicate its evidence to the
@@ -493,26 +482,20 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 		}
 	}
 	var log store.Log
-	switch {
-	case cfg.vaultDir != "":
+	var orgVault *vault.Vault
+	if cfg.vaultDir != "" {
 		vopts := cfg.vaultOpts
 		if d.tel != nil {
 			// Full-slice append: the caller's option slice must not be
 			// extended in place when reused across organisations.
 			vopts = append(vopts[:len(vopts):len(vopts)], vault.WithObserver(d.tel.Scope(string(p))))
 		}
-		log, err = vault.Open(cfg.vaultDir, d.clk, vopts...)
+		orgVault, err = vault.Open(cfg.vaultDir, d.clk, vopts...)
 		if err != nil {
 			return nil, err
 		}
-	case cfg.logPath != "":
-		log, err = store.OpenFileLog(cfg.logPath, d.clk)
-		if err != nil {
-			return nil, err
-		}
-	}
-	orgVault, _ := log.(*vault.Vault)
-	if orgVault == nil {
+		log = orgVault
+	} else {
 		var need string
 		switch {
 		case len(cfg.geoPeers) > 0:
@@ -521,9 +504,6 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 			need = "WithArchive"
 		}
 		if need != "" {
-			if log != nil {
-				log.Close()
-			}
 			return nil, fmt.Errorf("nonrep: %s for %s requires WithVault", need, p)
 		}
 	}

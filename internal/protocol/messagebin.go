@@ -1,19 +1,17 @@
-// Binary protocol-message encoding — the machine path between
+// Binary protocol-message encoding — the only encoding between
 // coordinators, mirroring the transport layer's binary envelopes.
 //
-// A binary message opens with a magic byte (0xEC, outside UTF-8's
-// first-byte range for JSON text, whose messages always start '{') and a
-// format version, then varint-framed fields in the canonical JSON field
-// order. The payload is carried as a raw byte run, so a protocol body —
-// in particular a subscription push's concatenated record frames —
-// travels from the socket read to the handler as a borrowed sub-slice of
-// the envelope body, never through a base64 detour. Tokens and trace
+// A binary message opens with a magic byte (0xEC) and a format version,
+// then varint-framed fields in the canonical JSON field order. The
+// payload is carried as a raw byte run, so a protocol body — in
+// particular a subscription push's concatenated record frames — travels
+// from the socket read to the handler as a borrowed sub-slice of the
+// envelope body, never through a base64 detour. Tokens and trace
 // references stay canonical JSON inside their byte fields: they are the
 // signed forms, and their encoding is what their signatures cover.
 //
-// The decoder auto-detects: a body starting '{' is decoded as canonical
-// JSON, so binary coordinators interoperate with peers that predate the
-// format, and no handshake is needed.
+// The decoder refuses a body that does not open with the magic byte:
+// there is no JSON fallback.
 package protocol
 
 import (
@@ -64,13 +62,12 @@ func marshalMessage(m *Message) ([]byte, error) {
 	return dst, nil
 }
 
-// unmarshalMessage decodes a protocol message, auto-detecting its
-// encoding. Byte fields of a binary message are sub-slices of data: the
-// caller must hand over ownership of the buffer, as it already must for
-// the transport envelope the buffer came from.
+// unmarshalMessage decodes a binary protocol message. Byte fields are
+// sub-slices of data: the caller must hand over ownership of the buffer,
+// as it already must for the transport envelope the buffer came from.
 func unmarshalMessage(data []byte, m *Message) error {
 	if len(data) == 0 || data[0] != msgMagic {
-		return canon.Unmarshal(data, m)
+		return fmt.Errorf("protocol: %w: not a binary message", canon.ErrBinary)
 	}
 	r := canon.NewBinReader(data)
 	r.Byte() // magic, checked above

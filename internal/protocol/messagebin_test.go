@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -71,22 +72,48 @@ func TestBinaryMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMessageJSONAutoDetect: a body that does not open with the binary
-// magic decodes as canonical JSON.
-func TestMessageJSONAutoDetect(t *testing.T) {
+// TestMessageJSONRefused: a body that does not open with the binary
+// magic is refused, canonical JSON included — there is no fallback
+// decoder.
+func TestMessageJSONRefused(t *testing.T) {
 	m := sampleMessage()
 	data, err := canon.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Message
-	if err := unmarshalMessage(data, &got); err != nil {
+	for _, bad := range [][]byte{data, nil, []byte(`{"protocol":`), []byte("garbage")} {
+		err := unmarshalMessage(bad, new(Message))
+		if !errors.Is(err, canon.ErrBinary) || !strings.Contains(err.Error(), "not a binary message") {
+			t.Fatalf("non-binary message %q: error %v, want a binary-format refusal", bad, err)
+		}
+	}
+}
+
+// TestDecodersRefuseJSON: each protocol decoder refuses the canonical
+// JSON form of its own structure — the encoding peers once sent — with
+// an error naming the format it wanted.
+func TestDecodersRefuseJSON(t *testing.T) {
+	msgJSON := canon.MustMarshal(sampleMessage())
+	pushJSON := &Message{Protocol: SubProtocol, Kind: KindSubRecords}
+	if err := pushJSON.SetBody(map[string]any{"sub_id": "s", "first": 1, "count": 1, "frames": []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
-	sameMessage(t, m, &got)
-	for _, bad := range [][]byte{nil, []byte(`{"protocol":`), []byte("garbage")} {
-		if err := unmarshalMessage(bad, new(Message)); err == nil {
-			t.Fatalf("malformed JSON message %q decoded", bad)
+	cases := []struct {
+		decoder string
+		decode  func() error
+		format  string
+	}{
+		{"unmarshalMessage", func() error { return unmarshalMessage(msgJSON, new(Message)) }, "binary message"},
+		{"unmarshalRecordsPush", func() error { return unmarshalRecordsPush(pushJSON, new(subRecordsPush)) }, "binary record push"},
+	}
+	for _, tc := range cases {
+		err := tc.decode()
+		if err == nil {
+			t.Errorf("%s accepted a JSON input", tc.decoder)
+			continue
+		}
+		if !errors.Is(err, canon.ErrBinary) || !strings.Contains(err.Error(), tc.format) {
+			t.Errorf("%s: error %q does not name the %s format", tc.decoder, err, tc.format)
 		}
 	}
 }

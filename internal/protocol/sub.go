@@ -148,16 +148,15 @@ type subProvResp struct {
 // decodes and hash-verifies the batch exactly once. On the wire the
 // push body itself is a binary frame (below), so the record frames reach
 // the client as a borrowed sub-slice of the envelope body — no base64
-// detour; the JSON form remains decodable for peers that predate it.
+// detour.
 type subRecordsPush struct {
-	SubID  string `json:"sub_id"`
-	First  uint64 `json:"first"`
-	Count  int    `json:"count"`
-	Frames []byte `json:"frames"`
+	SubID  string
+	First  uint64
+	Count  int
+	Frames []byte
 }
 
-// Binary push-body magic byte (outside UTF-8's first-byte range, so it
-// cannot open a canonical-JSON body) and format version.
+// Binary push-body magic byte and format version.
 const (
 	subPushMagic   = 0xF5
 	subPushVersion = 0x01
@@ -174,12 +173,11 @@ func marshalRecordsPush(p *subRecordsPush) []byte {
 	return dst
 }
 
-// unmarshalRecordsPush decodes a record push, auto-detecting the binary
-// body; a JSON body decodes through the message's canonical path.
+// unmarshalRecordsPush decodes a binary record push.
 func unmarshalRecordsPush(msg *Message, p *subRecordsPush) error {
 	data := msg.Payload
 	if len(data) == 0 || data[0] != subPushMagic {
-		return msg.Body(p)
+		return fmt.Errorf("protocol: %w: not a binary record push", canon.ErrBinary)
 	}
 	r := canon.NewBinReader(data)
 	r.Byte() // magic, checked above

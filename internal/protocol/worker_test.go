@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"nonrep/internal/canon"
 	"nonrep/internal/clock"
 	"nonrep/internal/id"
 	"nonrep/internal/store"
@@ -473,7 +472,7 @@ func TestWorkerLinkReconnectFlushesOutbox(t *testing.T) {
 func deliverRequestEnvelope(t *testing.T) *transport.Envelope {
 	t.Helper()
 	msg := &Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Payload: []byte("x")}
-	body, err := canon.Marshal(msg)
+	body, err := marshalMessage(msg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,17 @@
-// Binary envelope encoding — the machine path for the wire.
+// Binary envelope encoding — the only encoding on the wire.
 //
-// A binary envelope opens with a magic byte (0xEB, outside UTF-8's
-// first-byte range for JSON text, whose envelopes always start '{') and
-// a format version, then varint-framed fields mirroring the canonical
-// JSON field order. Chunk frames get the same treatment under their own
-// magic (0xC7) with the slice payload carried as a raw byte run — a
-// received chunk's Data is a sub-slice of the frame buffer, so payload
-// bytes travel from the socket read to reassembly to VerifyChunk
-// without ever being copied through an intermediate encoding.
+// A binary envelope opens with a magic byte (0xEB) and a format version,
+// then varint-framed fields mirroring the canonical JSON field order,
+// which stays the reference projection the golden vectors pin. Chunk
+// frames get the same treatment under their own magic (0xC7) with the
+// slice payload carried as a raw byte run — a received chunk's Data is a
+// sub-slice of the frame buffer, so payload bytes travel from the socket
+// read to reassembly to VerifyChunk without ever being copied through an
+// intermediate encoding.
 //
-// Both decoders auto-detect: a frame starting '{' is decoded as
-// canonical JSON, so binary speakers interoperate with legacy peers,
-// and a TCP endpoint always answers in the encoding the request
-// arrived in (the version negotiation — no handshake needed).
+// Both decoders refuse input that does not open with their magic byte:
+// there is one parser per path, and no JSON fallback for an intruder to
+// probe.
 package transport
 
 import (
@@ -20,19 +19,6 @@ import (
 
 	"nonrep/internal/canon"
 	"nonrep/internal/id"
-)
-
-// WireEncoding selects the frame encoding a TCP network's endpoints
-// write. Reads always auto-detect.
-type WireEncoding uint8
-
-// Wire encodings.
-const (
-	// WireBinary frames binary envelopes (the default).
-	WireBinary WireEncoding = iota
-	// WireJSON frames canonical JSON envelopes, for interoperating with
-	// peers that predate the binary format.
-	WireJSON
 )
 
 // Binary frame magic bytes and format versions.
@@ -43,32 +29,24 @@ const (
 	maxBatchDepth = 16
 )
 
-// MarshalEnvelope encodes an envelope in the given wire encoding.
-func MarshalEnvelope(env *Envelope, enc WireEncoding) ([]byte, error) {
-	if enc == WireJSON {
-		return canon.Marshal(env)
-	}
+// MarshalEnvelope encodes an envelope as a binary frame.
+func MarshalEnvelope(env *Envelope) ([]byte, error) {
 	return appendEnvelope(make([]byte, 0, 64+len(env.Body)), env, 0)
 }
 
-// UnmarshalEnvelope decodes an envelope, auto-detecting its encoding.
-// Byte fields of a binary envelope are sub-slices of data: the caller
-// must hand over ownership of the buffer.
+// UnmarshalEnvelope decodes a binary envelope. Byte fields are
+// sub-slices of data: the caller must hand over ownership of the buffer.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
-	if len(data) > 0 && data[0] == envMagic {
-		r := canon.NewBinReader(data)
-		env, err := decodeEnvelope(&r, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("transport: decode binary envelope: %w", err)
-		}
-		return env, nil
+	if len(data) == 0 || data[0] != envMagic {
+		return nil, fmt.Errorf("transport: %w: not a binary envelope", canon.ErrBinary)
 	}
-	env := new(Envelope)
-	if err := canon.Unmarshal(data, env); err != nil {
+	r := canon.NewBinReader(data)
+	env, err := decodeEnvelope(&r, 0)
+	if err != nil {
 		return nil, err
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("transport: decode binary envelope: %w", err)
 	}
 	return env, nil
 }
@@ -154,10 +132,7 @@ func decodeEnvelope(r *canon.BinReader, depth int) (*Envelope, error) {
 	return env, nil
 }
 
-// marshalChunkFrame encodes a chunk frame in binary. Chunk frames are
-// created by this layer on both sides, so unlike envelopes they never
-// need a JSON-producing option — a legacy peer would not understand the
-// chunk protocol's kinds either way.
+// marshalChunkFrame encodes a chunk frame in binary.
 func marshalChunkFrame(f *chunkFrame) []byte {
 	dst := make([]byte, 0, 64+len(f.Data))
 	dst = append(dst, chunkMagic, wireVersion)
@@ -171,12 +146,12 @@ func marshalChunkFrame(f *chunkFrame) []byte {
 	return canon.AppendBytes(dst, f.Data)
 }
 
-// unmarshalChunkFrame decodes a chunk frame, auto-detecting the binary
-// format against legacy JSON. Data is a sub-slice of the input: chunk
-// payload bytes are borrowed, never copied, on their way to reassembly.
+// unmarshalChunkFrame decodes a binary chunk frame. Data is a sub-slice
+// of the input: chunk payload bytes are borrowed, never copied, on their
+// way to reassembly.
 func unmarshalChunkFrame(data []byte, f *chunkFrame) error {
 	if len(data) == 0 || data[0] != chunkMagic {
-		return canon.Unmarshal(data, f)
+		return fmt.Errorf("transport: %w: not a binary chunk frame", canon.ErrBinary)
 	}
 	r := canon.NewBinReader(data)
 	r.Byte() // magic, checked above

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -34,8 +36,7 @@ func goldenEnvelopes() []*Envelope {
 
 // TestBinaryEnvelopeGoldenVectors pins the binary envelope codec to the
 // canonical JSON projection: encode→decode→canonical-JSON must equal
-// the original envelope's canonical JSON for every shape, through both
-// the binary and (trivially) the JSON wire encodings.
+// the original envelope's canonical JSON for every shape.
 func TestBinaryEnvelopeGoldenVectors(t *testing.T) {
 	t.Parallel()
 	for i, env := range goldenEnvelopes() {
@@ -43,22 +44,20 @@ func TestBinaryEnvelopeGoldenVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, enc := range []WireEncoding{WireBinary, WireJSON} {
-			frame, err := MarshalEnvelope(env, enc)
-			if err != nil {
-				t.Fatalf("envelope %d (%v): marshal: %v", i, enc, err)
-			}
-			dec, err := UnmarshalEnvelope(frame)
-			if err != nil {
-				t.Fatalf("envelope %d (%v): unmarshal: %v", i, enc, err)
-			}
-			got, err := canon.Marshal(dec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("envelope %d (%v): canonical projection drifted:\n want %s\n  got %s", i, enc, want, got)
-			}
+		frame, err := MarshalEnvelope(env)
+		if err != nil {
+			t.Fatalf("envelope %d: marshal: %v", i, err)
+		}
+		dec, err := UnmarshalEnvelope(frame)
+		if err != nil {
+			t.Fatalf("envelope %d: unmarshal: %v", i, err)
+		}
+		got, err := canon.Marshal(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("envelope %d: canonical projection drifted:\n want %s\n  got %s", i, want, got)
 		}
 	}
 }
@@ -101,11 +100,14 @@ func TestBinaryChunkFrameGoldenVectors(t *testing.T) {
 // proportionally to a lying count — and whatever decodes must
 // re-encode and decode back to the same canonical projection.
 func FuzzBinaryEnvelopeDecode(f *testing.F) {
+	// Every golden shape, alone and one batch level down.
 	for _, env := range goldenEnvelopes() {
-		for _, enc := range []WireEncoding{WireBinary, WireJSON} {
-			if frame, err := MarshalEnvelope(env, enc); err == nil {
-				f.Add(frame)
+		for _, seed := range []*Envelope{env, {ID: "w", Kind: "b2b-batch", Batch: []BatchItem{{Env: env, WantReply: true}}}} {
+			frame, err := MarshalEnvelope(seed)
+			if err != nil {
+				f.Fatal(err)
 			}
+			f.Add(frame)
 		}
 	}
 	f.Add([]byte{envMagic})                   // torn magic
@@ -118,13 +120,10 @@ func FuzzBinaryEnvelopeDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		frame, err := MarshalEnvelope(env, WireBinary)
+		// Decode and encode share the batch depth cap, so anything
+		// decoded re-encodes.
+		frame, err := MarshalEnvelope(env)
 		if err != nil {
-			// The one legitimate refusal is a JSON-decoded batch nested
-			// past the binary encoder's depth cap.
-			if strings.Contains(err.Error(), "nested beyond depth") {
-				return
-			}
 			t.Fatalf("re-marshal of decoded envelope failed: %v", err)
 		}
 		back, err := UnmarshalEnvelope(frame)
@@ -137,4 +136,34 @@ func FuzzBinaryEnvelopeDecode(f *testing.F) {
 			t.Fatalf("round-trip drift:\n %s\n %s", a, b)
 		}
 	})
+}
+
+// TestDecodersRefuseJSON: the wire is binary-only. Each transport
+// decoder refuses the canonical JSON form of its own structure — the
+// encoding peers once sent — with an error naming the format it wanted.
+func TestDecodersRefuseJSON(t *testing.T) {
+	t.Parallel()
+	envJSON := canon.MustMarshal(goldenEnvelopes()[0])
+	frameJSON := binary.BigEndian.AppendUint32(nil, uint32(len(envJSON)))
+	frameJSON = append(frameJSON, envJSON...)
+	chunkJSON := canon.MustMarshal(&chunkFrame{Stream: "s", Seq: 0, Total: 1, Size: 2, Data: []byte("hi")})
+	cases := []struct {
+		decoder string
+		decode  func() error
+		format  string
+	}{
+		{"readFrame", func() error { _, err := readFrame(bytes.NewReader(frameJSON)); return err }, "binary envelope"},
+		{"UnmarshalEnvelope", func() error { _, err := UnmarshalEnvelope(envJSON); return err }, "binary envelope"},
+		{"unmarshalChunkFrame", func() error { return unmarshalChunkFrame(chunkJSON, new(chunkFrame)) }, "binary chunk frame"},
+	}
+	for _, tc := range cases {
+		err := tc.decode()
+		if err == nil {
+			t.Errorf("%s accepted a JSON input", tc.decoder)
+			continue
+		}
+		if !errors.Is(err, canon.ErrBinary) || !strings.Contains(err.Error(), tc.format) {
+			t.Errorf("%s: error %q does not name the %s format", tc.decoder, err, tc.format)
+		}
+	}
 }

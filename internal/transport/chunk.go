@@ -49,9 +49,7 @@ const (
 // Chunking defaults. Envelopes and chunk frames are binary, so bytes ride
 // the 16 MiB wire frame raw: a 4 MiB slice plus the chunk-frame and
 // envelope headers (tens of bytes) is a ~4 MiB frame, and an unchunked
-// body at the 8 MiB threshold a ~8 MiB one — half the frame budget. The
-// rest of the margin covers WireJSON framing, which base64s the envelope
-// body once (×4/3): a threshold-sized body then frames at ~10.7 MiB.
+// body at the 8 MiB threshold a ~8 MiB one — half the frame budget.
 const (
 	// DefaultChunkThreshold is the body size above which an envelope is
 	// chunked (8 MiB: within one wire frame after encoding overhead).

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -120,9 +121,9 @@ func TestChunkEndRetransmitExactlyOnce(t *testing.T) {
 	f2 := chunkFrame{Stream: "s1", Seq: 1, Total: 3, Size: int64(len(body)), Data: body[64:128]}
 	f3 := chunkFrame{Stream: "s1", Seq: 2, Total: 3, Size: int64(len(body)), MsgID: "orig-1", Kind: "bulk", WantReply: true, Data: body[128:]}
 	envs := []*Envelope{
-		{ID: "c1", Kind: KindChunkPart, Body: canon.MustMarshal(&f1)},
-		{ID: "c2", Kind: KindChunkPart, Body: canon.MustMarshal(&f2)},
-		{ID: "c3", Kind: KindChunkEnd, Body: canon.MustMarshal(&f3)},
+		{ID: "c1", Kind: KindChunkPart, Body: marshalChunkFrame(&f1)},
+		{ID: "c2", Kind: KindChunkPart, Body: marshalChunkFrame(&f2)},
+		{ID: "c3", Kind: KindChunkEnd, Body: marshalChunkFrame(&f3)},
 	}
 	var lastReply *Envelope
 	for _, e := range envs {
@@ -137,7 +138,7 @@ func TestChunkEndRetransmitExactlyOnce(t *testing.T) {
 	}
 	// Retransmit the final chunk (same envelope id): cached reply, no
 	// second dispatch.
-	r, err := chain.Handle(context.Background(), &Envelope{ID: "c3", Kind: KindChunkEnd, Body: canon.MustMarshal(&f3)})
+	r, err := chain.Handle(context.Background(), &Envelope{ID: "c3", Kind: KindChunkEnd, Body: marshalChunkFrame(&f3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,12 @@ func TestChunkAssemblyRejectsAbuse(t *testing.T) {
 	})
 	h := NewChunkHandler(inner, opts)
 	send := func(kind string, f chunkFrame) error {
-		_, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: kind, Body: canon.MustMarshal(&f)})
+		_, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: kind, Body: marshalChunkFrame(&f)})
+		if errors.Is(err, canon.ErrBinary) {
+			// Every frame here is well formed: a refusal must come from
+			// the assembler's checks, not the decoder.
+			t.Fatalf("frame %+v refused by the decoder: %v", f, err)
+		}
 		return err
 	}
 
@@ -208,7 +214,7 @@ func TestChunkStreamEviction(t *testing.T) {
 	}), opts)
 	for i := 0; i < 5; i++ {
 		f := chunkFrame{Stream: fmt.Sprintf("s%d", i), Seq: 0, Total: 2, Size: 8, Data: []byte("AAAA")}
-		if _, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: KindChunkPart, Body: canon.MustMarshal(&f)}); err != nil {
+		if _, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: KindChunkPart, Body: marshalChunkFrame(&f)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,10 +11,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"strings"
 	"testing"
 
-	"nonrep/internal/canon"
 	"nonrep/internal/id"
 )
 
@@ -25,7 +23,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	// A well-formed frame as the structural seed.
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, NewEnvelope("b2b-deliver", []byte(`{"protocol":"ping"}`)), WireBinary); err != nil {
+	if err := writeFrame(&buf, NewEnvelope("b2b-deliver", []byte(`{"protocol":"ping"}`))); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -39,45 +37,51 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(over[:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, _, err := readFrame(bytes.NewReader(data))
+		env, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if env == nil {
 			t.Fatal("readFrame returned neither envelope nor error")
 		}
-		// A decoded envelope must survive re-framing (round-trip safety).
-		// The one legitimate refusal is a JSON-decoded batch nested past
-		// the binary encoder's depth cap.
+		// A decoded envelope must survive re-framing (round-trip safety):
+		// decode and encode share the batch depth cap.
 		var out bytes.Buffer
-		if werr := writeFrame(&out, env, WireBinary); werr != nil && !strings.Contains(werr.Error(), "nested beyond depth") {
+		if werr := writeFrame(&out, env); werr != nil {
 			t.Fatalf("re-frame of decoded envelope failed: %v", werr)
 		}
 	})
 }
 
-// FuzzEnvelopeDecode feeds arbitrary JSON to the envelope decoder and
-// pushes every decode through the full receive chain — batch opener,
-// replay dedup, tenant mux — with a benign terminal handler. Hostile
-// batch shapes (missing sub-envelopes, mixed tenants, nested kinds) must
-// be answered with per-item errors, not panics.
+// FuzzEnvelopeDecode feeds arbitrary bytes to the wire's envelope
+// decoder and pushes every decode through the full receive chain — batch
+// opener, replay dedup, tenant mux — with a benign terminal handler.
+// Hostile batch shapes (missing sub-envelopes, mixed tenants, nested
+// kinds) must be answered with per-item errors, not panics.
 func FuzzEnvelopeDecode(f *testing.F) {
-	ok := func(body []byte) []byte { return body }
-	f.Add(ok([]byte(`{"id":"m1","kind":"b2b-deliver","body":"aGk="}`)))
-	f.Add(ok([]byte(`{"id":"m2","kind":"b2b-batch","batch":[{"env":{"id":"s1","kind":"b2b-deliver"},"want_reply":true},{}]}`)))
-	f.Add(ok([]byte(`{"id":"m3","kind":"b2b-batch","batch":[{"env":{"id":"s2","kind":"b2b-batch","tenant":"t1"}}]}`)))
-	f.Add(ok([]byte(`{"id":"m4","kind":"b2b-batch","tenant":"t9","batch":[{"env":{"id":"s3","kind":"b2b-deliver","tenant":"zzz"}}]}`)))
+	for _, env := range []*Envelope{
+		{ID: "m1", Kind: "b2b-deliver", Body: []byte("hi")},
+		{ID: "m2", Kind: "b2b-batch", Batch: []BatchItem{{Env: &Envelope{ID: "s1", Kind: "b2b-deliver"}, WantReply: true}, {}}},
+		{ID: "m3", Kind: "b2b-batch", Batch: []BatchItem{{Env: &Envelope{ID: "s2", Kind: "b2b-batch", Tenant: "t1"}}}},
+		{ID: "m4", Kind: "b2b-batch", Tenant: "t9", Batch: []BatchItem{{Env: &Envelope{ID: "s3", Kind: "b2b-deliver", Tenant: "zzz"}}}},
+	} {
+		frame, err := MarshalEnvelope(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var env Envelope
-		if err := canon.Unmarshal(data, &env); err != nil {
+		env, err := UnmarshalEnvelope(data)
+		if err != nil {
 			return
 		}
 		terminal := HandlerFunc(func(_ context.Context, e *Envelope) (*Envelope, error) {
 			return &Envelope{ID: e.ID, Kind: "ack"}, nil
 		})
 		chain := NewTenantChain(terminal, 2)
-		if _, err := chain.Handle(context.Background(), &env); err != nil {
+		if _, err := chain.Handle(context.Background(), env); err != nil {
 			_ = err // errors are the contract; panics are the bug
 		}
 		// And through a tenant mux resolving one known tenant.
@@ -87,7 +91,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			}
 			return nil
 		}))
-		if _, err := mux.Handle(context.Background(), &env); err != nil {
+		if _, err := mux.Handle(context.Background(), env); err != nil {
 			_ = err
 		}
 	})
@@ -99,7 +103,8 @@ type tenantResolverFunc func(tenant string) Handler
 func (f tenantResolverFunc) TenantHandler(tenant string) Handler { return f(tenant) }
 
 // FuzzChunkAssemble replays an arbitrary sequence of chunk envelopes — a
-// JSON array of {kind, frame} steps — through a ChunkHandler with tight
+// JSON array of {kind, frame} steps, each frame sent in its binary wire
+// form — through a ChunkHandler with tight
 // limits. Out-of-order, duplicate, overlapping, truncated and oversized
 // chunk streams must yield errors, never a panic; and the assembler must
 // never hold more than its configured budget no matter what the frames
@@ -164,7 +169,7 @@ func FuzzChunkAssemble(f *testing.F) {
 			default:
 				kind = KindChunkPart
 			}
-			env := &Envelope{ID: id.NewMsg(), Kind: kind, Body: canon.MustMarshal(&s.Frame)}
+			env := &Envelope{ID: id.NewMsg(), Kind: kind, Body: marshalChunkFrame(&s.Frame)}
 			if _, err := h.Handle(context.Background(), env); err != nil {
 				_ = err // errors are the contract; panics are the bug
 			}

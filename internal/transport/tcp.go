@@ -20,8 +20,6 @@ const maxFrame = 16 << 20
 // tracks its listeners, so Close stops every endpoint registered through
 // it — including any that callers lost track of.
 type TCPNetwork struct {
-	enc WireEncoding
-
 	mu     sync.Mutex
 	eps    map[*tcpEndpoint]struct{}
 	closed bool
@@ -29,24 +27,9 @@ type TCPNetwork struct {
 
 var _ Network = (*TCPNetwork)(nil)
 
-// TCPOption configures a TCP network.
-type TCPOption func(*TCPNetwork)
-
-// WithWireEncoding selects the frame encoding this network's endpoints
-// write (binary by default). Inbound frames always auto-detect, and an
-// endpoint answers in the encoding the request arrived in, so networks
-// with different settings interoperate.
-func WithWireEncoding(enc WireEncoding) TCPOption {
-	return func(n *TCPNetwork) { n.enc = enc }
-}
-
 // NewTCPNetwork creates a TCP network.
-func NewTCPNetwork(opts ...TCPOption) *TCPNetwork {
-	n := &TCPNetwork{eps: make(map[*tcpEndpoint]struct{})}
-	for _, opt := range opts {
-		opt(n)
-	}
-	return n
+func NewTCPNetwork() *TCPNetwork {
+	return &TCPNetwork{eps: make(map[*tcpEndpoint]struct{})}
 }
 
 // Register implements Network: it starts a listener on addr
@@ -62,7 +45,7 @@ func (n *TCPNetwork) Register(addr string, h Handler) (Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	ep := &tcpEndpoint{net: n, ln: ln, handler: h, enc: n.enc, done: make(chan struct{})}
+	ep := &tcpEndpoint{net: n, ln: ln, handler: h, done: make(chan struct{})}
 	// The accept loop is accounted for before the endpoint becomes
 	// visible to a concurrent network Close, whose ep.Close -> wg.Wait
 	// must always see the counter raised.
@@ -115,7 +98,6 @@ type tcpEndpoint struct {
 	net     *TCPNetwork
 	ln      net.Listener
 	handler Handler
-	enc     WireEncoding
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -147,13 +129,11 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// serve handles one inbound connection carrying one exchange. The reply
-// goes out in the encoding the request arrived in, so a legacy JSON
-// peer negotiates JSON simply by speaking it.
+// serve handles one inbound connection carrying one exchange.
 func (e *tcpEndpoint) serve(conn net.Conn) {
 	defer e.wg.Done()
 	defer conn.Close()
-	env, enc, err := readFrame(conn)
+	env, err := readFrame(conn)
 	if err != nil {
 		return
 	}
@@ -166,25 +146,23 @@ func (e *tcpEndpoint) serve(conn net.Conn) {
 	if reply == nil {
 		reply = &Envelope{ID: env.ID, Kind: "ack"}
 	}
-	_ = writeFrame(conn, reply, enc)
+	_ = writeFrame(conn, reply)
 }
 
 // Send implements Endpoint.
 func (e *tcpEndpoint) Send(ctx context.Context, to string, env *Envelope) error {
-	_, err := e.exchange(ctx, to, env)
+	_, err := exchangeTCP(ctx, e.Addr(), to, env)
 	return err
 }
 
 // Request implements Endpoint.
 func (e *tcpEndpoint) Request(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
-	reply, err := e.exchange(ctx, to, env)
-	if err != nil {
-		return nil, err
-	}
-	return reply, nil
+	return exchangeTCP(ctx, e.Addr(), to, env)
 }
 
-func (e *tcpEndpoint) exchange(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
+// exchangeTCP dials to, writes env as from and reads the one reply
+// frame; an error envelope becomes an error.
+func exchangeTCP(ctx context.Context, from, to string, env *Envelope) (*Envelope, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", to)
 	if err != nil {
@@ -194,12 +172,12 @@ func (e *tcpEndpoint) exchange(ctx context.Context, to string, env *Envelope) (*
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}
-	env.From = e.Addr()
+	env.From = from
 	env.To = to
-	if err := writeFrame(conn, env, e.enc); err != nil {
+	if err := writeFrame(conn, env); err != nil {
 		return nil, err
 	}
-	reply, _, err := readFrame(conn)
+	reply, err := readFrame(conn)
 	if err != nil {
 		return nil, err
 	}
@@ -223,9 +201,9 @@ func (e *tcpEndpoint) Close() error {
 	return err
 }
 
-// writeFrame writes a length-prefixed envelope in the given encoding.
-func writeFrame(w io.Writer, env *Envelope, enc WireEncoding) error {
-	body, err := MarshalEnvelope(env, enc)
+// writeFrame writes a length-prefixed binary envelope.
+func writeFrame(w io.Writer, env *Envelope) error {
+	body, err := MarshalEnvelope(env)
 	if err != nil {
 		return err
 	}
@@ -249,19 +227,18 @@ func writeFrame(w io.Writer, env *Envelope, enc WireEncoding) error {
 // read and grown chunk by chunk.
 const frameChunk = 64 << 10
 
-// readFrame reads a length-prefixed envelope, auto-detecting its
-// encoding and reporting which one arrived so the reply can mirror it.
-// A binary envelope's byte fields alias the frame buffer, which is
-// owned by the decoded envelope from here on — the zero-copy path from
-// socket read to chunk reassembly.
-func readFrame(r io.Reader) (*Envelope, WireEncoding, error) {
+// readFrame reads a length-prefixed binary envelope. The envelope's
+// byte fields alias the frame buffer, which is owned by the decoded
+// envelope from here on — the zero-copy path from socket read to chunk
+// reassembly.
+func readFrame(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, WireBinary, fmt.Errorf("transport: read frame header: %w", err)
+		return nil, fmt.Errorf("transport: read frame header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
-		return nil, WireBinary, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	body := make([]byte, 0, min(int(n), frameChunk))
 	for remaining := int(n); remaining > 0; {
@@ -269,17 +246,9 @@ func readFrame(r io.Reader) (*Envelope, WireEncoding, error) {
 		off := len(body)
 		body = append(body, make([]byte, k)...)
 		if _, err := io.ReadFull(r, body[off:]); err != nil {
-			return nil, WireBinary, fmt.Errorf("transport: read frame body: %w", err)
+			return nil, fmt.Errorf("transport: read frame body: %w", err)
 		}
 		remaining -= k
 	}
-	enc := WireJSON
-	if len(body) > 0 && body[0] == envMagic {
-		enc = WireBinary
-	}
-	env, err := UnmarshalEnvelope(body)
-	if err != nil {
-		return nil, enc, err
-	}
-	return env, enc, nil
+	return UnmarshalEnvelope(body)
 }

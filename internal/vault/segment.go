@@ -120,7 +120,8 @@ func newSegment(number, firstSeq uint64) *segment {
 	return &segment{
 		number:   number,
 		firstSeq: firstSeq,
-		enc:      store.EncJSON,
+		enc:      store.EncBinary,
+		size:     store.SegmentHeaderLen,
 		runs:     make(map[id.Run][]uint64),
 		txns:     make(map[id.Txn][]uint64),
 		parties:  make(map[id.Party][]uint64),

@@ -92,15 +92,6 @@ func WithReadOnly() Option {
 	return func(v *Vault) { v.readOnly = true }
 }
 
-// WithJSONSegments writes new segments as canonical JSON lines instead
-// of the binary frame format — the audit projection on disk. Reads
-// always auto-detect per file, so a vault may freely mix JSON and
-// binary segments across reopens with different settings; the seal
-// chain, queries, DeepVerify and replication are encoding-blind.
-func WithJSONSegments() Option {
-	return func(v *Vault) { v.writeEnc = store.EncJSON }
-}
-
 // WithoutSync disables the per-batch fsync, trading machine-crash
 // durability of the unsealed tail for throughput (process-crash
 // durability is kept — every batch is still flushed to the kernel, and
@@ -172,7 +163,6 @@ type Vault struct {
 	readOnly    bool
 	prealloc    int64
 	restoreFrom string
-	writeEnc    store.Encoding
 
 	lockF *os.File
 
@@ -258,7 +248,6 @@ func Open(dir string, clk clock.Clock, opts ...Option) (*Vault, error) {
 		segRecords: 4096,
 		maxBatch:   512,
 		sync:       true,
-		writeEnc:   store.EncBinary,
 		runSegs:    make(map[id.Run][]int),
 		txnSegs:    make(map[id.Txn][]int),
 		appendC:    make(chan *appendReq, 4096),
@@ -322,12 +311,11 @@ func Open(dir string, clk clock.Clock, opts ...Option) (*Vault, error) {
 		return nil, err
 	}
 	v.mu.Lock()
-	// Seal an overfull tail — and a legacy tail whose encoding differs
-	// from the write encoding: sealing it (a legal operation on any
-	// non-empty segment) migrates the vault forward without ever
-	// rewriting existing evidence bytes, so the new tail starts in the
-	// write encoding while the sealed JSON history stays readable as is.
-	if len(v.active.records) >= v.segRecords || (len(v.active.records) > 0 && v.active.enc != v.writeEnc) {
+	// Seal an overfull tail — and a legacy JSON tail: sealing it (a legal
+	// operation on any non-empty segment) migrates the vault forward
+	// without ever rewriting existing evidence bytes, so the new tail
+	// starts binary while the sealed JSON history stays readable as is.
+	if len(v.active.records) >= v.segRecords || (len(v.active.records) > 0 && v.active.enc != store.EncBinary) {
 		if err := v.seal(); err != nil {
 			v.mu.Unlock()
 			if v.f != nil {
@@ -566,10 +554,9 @@ func (v *Vault) rebuildIndex(e *ManifestEntry) (*segmentIndex, error) {
 
 // replayTail loads the unsealed tail segment into memory, verifying its
 // chain against the last seal and truncating a torn final write. The
-// tail's encoding is whatever is on disk; a fresh (empty) tail adopts
-// the write encoding, and an empty tail left in the wrong encoding —
-// say a bare binary header before a reopen with WithJSONSegments — is
-// restarted in the write encoding.
+// tail's encoding is whatever is on disk; a fresh (empty) tail is
+// binary, and an empty legacy JSON tail — say one that held only a torn
+// line — is restarted binary.
 func (v *Vault) replayTail() error {
 	tailNum := uint64(1)
 	if n := len(v.sealed); n > 0 {
@@ -583,8 +570,6 @@ func (v *Vault) replayTail() error {
 	seg := newSegment(tailNum, v.lastSeq+1)
 	if enc := store.DetectEncoding(data); enc != store.EncUnknown {
 		seg.setEncoding(enc)
-	} else {
-		seg.setEncoding(v.writeEnc)
 	}
 	cv := store.ResumeChain(v.lastSeq, v.lastHash)
 	_, prefix, torn, err := store.DecodeSegmentData(data, func(rec *store.Record, n int64) error {
@@ -602,11 +587,11 @@ func (v *Vault) replayTail() error {
 			return fmt.Errorf("vault: truncate torn tail of segment %d: %w", tailNum, err)
 		}
 	}
-	if len(seg.records) == 0 && seg.enc != v.writeEnc && !v.readOnly {
+	if len(seg.records) == 0 && seg.enc != store.EncBinary && !v.readOnly {
 		if err := os.Truncate(path, 0); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("vault: restart empty tail segment %d: %w", tailNum, err)
 		}
-		seg.setEncoding(v.writeEnc)
+		seg.setEncoding(store.EncBinary)
 	}
 	v.active = seg
 	v.lastSeq, v.lastHash = cv.Position()
@@ -636,13 +621,11 @@ func (v *Vault) openHandles() error {
 	return v.syncDir()
 }
 
-// writeSegmentHeader stamps a fresh binary segment file with its format
-// header. JSON segments have no header, and a file that already holds
-// bytes keeps them (the header was written when the file was created).
+// writeSegmentHeader stamps an empty segment file with the binary format
+// header. A file that already holds bytes keeps them: its header was
+// written when it was created, or it is a non-empty legacy JSON tail
+// that Open is about to seal.
 func writeSegmentHeader(f *os.File, seg *segment) error {
-	if seg.enc != store.EncBinary {
-		return nil
-	}
 	fi, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("vault: stat segment %d: %w", seg.number, err)
@@ -710,7 +693,6 @@ func (v *Vault) commit(batch []*appendReq) {
 	v.mu.Lock()
 	failure := v.failure
 	seq, hash := v.lastSeq, v.lastHash
-	enc := v.active.enc
 	v.mu.Unlock()
 	if failure != nil {
 		for _, req := range batch {
@@ -749,26 +731,15 @@ func (v *Vault) commit(batch []*appendReq) {
 			continue
 		}
 		n0 := len(buf)
-		if enc == store.EncBinary {
-			out, eerr := v.recEnc.AppendRecord(buf, rec)
-			if eerr != nil {
-				v.chainer.Reset(seq, hash)
-				req.resp <- appendResp{err: eerr}
-				continue
-			}
-			buf = out
-		} else {
-			line, merr := canon.Marshal(rec)
-			if merr != nil {
-				// The chain advanced past a record that will not hit disk;
-				// rewind it so the next record chains from the last staged one.
-				v.chainer.Reset(seq, hash)
-				req.resp <- appendResp{err: merr}
-				continue
-			}
-			buf = append(buf, line...)
-			buf = append(buf, '\n')
+		out, eerr := v.recEnc.AppendRecord(buf, rec)
+		if eerr != nil {
+			// The chain advanced past a record that will not hit disk;
+			// rewind it so the next record chains from the last staged one.
+			v.chainer.Reset(seq, hash)
+			req.resp <- appendResp{err: eerr}
+			continue
 		}
+		buf = out
 		staged = append(staged, stagedAppend{req: req, rec: rec, line: int64(len(buf) - n0)})
 		seq, hash = rec.Seq, rec.Hash
 	}
@@ -924,7 +895,6 @@ func (v *Vault) seal() error {
 	v.lastSeal = entry.Digest
 	v.pendingSeals = append(v.pendingSeals, entry)
 	v.active = newSegment(a.number+1, v.lastSeq+1)
-	v.active.setEncoding(v.writeEnc)
 	f, err := os.OpenFile(segPath(v.dir, v.active.number), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		return fmt.Errorf("vault: open next segment: %w", err)

@@ -9,11 +9,12 @@
 # caught in the same PR that causes it.
 #
 # Floors are set a few points under the current measured coverage
-# (vault ~75%, protocol 76.0%, invoke 76.6%, obs ~94%, durable ~88%,
+# (vault ~75%, protocol 76.1%, invoke 76.6%, obs ~94%, durable ~88%,
 # store ~85%, feed ~83%, georep ~89%, blob ~75% at the time of
 # writing; vault and georep re-measured after the replication engines
-# merged, protocol and invoke after the binary stream chunk bodies and
-# the message-decoder and reply-cache tests landed) to allow noise
+# merged, invoke after the binary stream chunk bodies landed, vault and
+# protocol again after the JSON wire and segment-write paths were
+# removed) to allow noise
 # without allowing decay. The store floor
 # guards the binary record codec — the bytes every other guarantee
 # rests on; the feed floor guards the subscription hub live feeds fan
